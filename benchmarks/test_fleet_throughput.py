@@ -16,13 +16,12 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   kernel invocation over a whole (seed x device) cell beats R x N
   per-trace kernel runs >= 1.5x (the win is invocation-overhead
   amortization; per-replica report compilation is shared cost).
-- ``fault_tolerant_routing`` — failure-aware dispatch (seeded fault
-  schedule + failover retries) on the vectorized engine (dense backlog
-  arrays + one whole-trace ``down_mask`` sweep) routes >= 1.5x faster
-  than the scalar failure-aware reference loop, with bit-identical
-  assignments/retries/dispatch times.  The bar shrank in PR 10: the
-  scalar reference now shares the vectorized mask sweep, so only the
-  dense-backlog epoch advance separates the paths.
+- ``fault_tolerant_routing`` — fault-aware dispatch under plain
+  failover (seeded fault schedule + failover retries, every overload
+  knob off) on the vectorized engine (dense backlog arrays + one
+  whole-trace ``down_mask`` sweep) routes >= 1.5x faster than the
+  scalar reference loop (list-walking backlog + exact point queries),
+  with bit-identical assignments/retries/dispatch times.
 - ``overload_resilience`` — the full graceful-degradation stack
   (brownout-capable faults, circuit breakers, a fleet-wide retry
   budget, deadline-aware shedding) on the vectorized overload engine
@@ -233,24 +232,24 @@ def test_flattened_cell_speedup():
 
 def test_fault_tolerant_routing_speedup():
     """The failure-aware routing bar: the vectorized engine (dense
-    backlog + whole-trace down_mask sweep) >= 1.5x the scalar
-    reference loop at N=64, bit-identical outcomes."""
+    backlog + whole-trace down_mask sweep) under plain failover >= 1.5x
+    the scalar reference loop at N=64, bit-identical outcomes."""
     trace = _fleet_trace()
     faults = FaultProcess(mtbf=2_000.0, mttr=200.0)
     dispatcher = Dispatcher("jsq", N_DEVICES, get_preset(DEVICE),
                             service_time=SERVICE_TIME, seed=7)
 
     start = time.perf_counter()
-    _, scalar_out = dispatcher.dispatch_with_faults(
-        trace, faults, vectorized=False, fault_seed=5,
+    _, scalar_out = dispatcher.dispatch_with_overload(
+        trace, faults, OverloadConfig(), vectorized=False, fault_seed=5,
     )
     scalar_seconds = time.perf_counter() - start
 
     vec_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        _, vec_out = dispatcher.dispatch_with_faults(
-            trace, faults, vectorized=True, fault_seed=5,
+        _, vec_out = dispatcher.dispatch_with_overload(
+            trace, faults, OverloadConfig(), vectorized=True, fault_seed=5,
         )
         vec_seconds = min(vec_seconds, time.perf_counter() - start)
 

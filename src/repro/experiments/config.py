@@ -221,9 +221,7 @@ class FleetConfig:
     arms a per-device circuit breaker that opens after that many
     consecutive failures, and ``retry_budget`` caps fleet-wide failover
     retries with a token bucket of that capacity (exhaustion sheds the
-    request instead of retrying).  Any of them set implies the overload
-    dispatch path; all ``None`` reproduces the plain failover sweep
-    bit-for-bit.
+    request instead of retrying).  All ``None`` is plain failover.
     """
 
     device: str = "mobile_hdd"

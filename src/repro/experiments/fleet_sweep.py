@@ -58,9 +58,7 @@ def build_spec(config: FleetConfig = FleetConfig()) -> FleetSweepSpec:
     if (config.slo is not None or config.breaker is not None
             or config.retry_budget is not None
             or config.brownout_severity is not None):
-        # The sweep spec requires spec.failover == overload.failover, so
-        # the overload path reduces exactly to the failover path when the
-        # degradation features are individually disabled.
+        # The sweep spec requires spec.failover == overload.failover.
         overload = OverloadConfig(
             failover=failover,
             breaker=(BreakerConfig(failure_threshold=int(config.breaker))

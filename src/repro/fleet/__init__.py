@@ -31,7 +31,6 @@ from .dispatch import (
     BreakerConfig,
     Dispatcher,
     FailoverConfig,
-    FailoverOutcome,
     JoinShortestQueueRouter,
     OverloadConfig,
     OverloadOutcome,
@@ -42,8 +41,6 @@ from .dispatch import (
     Router,
     RoundRobinRouter,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
     route_with_overload,
     route_with_overload_step,
 )
@@ -70,10 +67,7 @@ __all__ = [
     "make_router",
     "Dispatcher",
     "FailoverConfig",
-    "FailoverOutcome",
     "FAILOVER_POLICIES",
-    "route_with_failover",
-    "route_with_failover_step",
     "BreakerConfig",
     "RetryBudgetConfig",
     "OverloadConfig",

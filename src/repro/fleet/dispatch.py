@@ -298,8 +298,10 @@ class _DenseBacklog:
 
     def assign(self, d: int, now: float, demand: float) -> None:
         """Book one request on device ``d`` arriving at ``now``."""
-        start = max(now, float(self.last_completion[d]))
-        done = start + demand
+        self.book(d, max(now, float(self.last_completion[d])) + demand)
+
+    def book(self, d: int, done: float) -> None:
+        """Book one request on device ``d`` completing at ``done``."""
         self.last_completion[d] = done
         self.queue_len[d] += 1
         heapq.heappush(self._heap, (done, d))
@@ -566,218 +568,16 @@ class FailoverConfig:
             )
 
 
-@dataclass
-class FailoverOutcome:
-    """Per-request result of one failure-aware routing pass.
-
-    ``assignments[i]`` is the landing device, or ``-1`` for a dropped
-    request; ``dispatch_times[i]`` the instant the request finally
-    dispatched (its arrival time plus any backoff delays — for dropped
-    requests, the instant the dispatcher gave up); ``retries[i]`` the
-    number of backoff delays taken.
-    """
-
-    arrivals: np.ndarray
-    assignments: np.ndarray
-    dispatch_times: np.ndarray
-    retries: np.ndarray
-
-    @property
-    def landed(self) -> np.ndarray:
-        """Boolean mask of requests that reached a device."""
-        return self.assignments >= 0
-
-    @property
-    def n_dropped(self) -> int:
-        """Requests that exhausted their retries."""
-        return int((~self.landed).sum())
-
-    @property
-    def n_retries(self) -> int:
-        """Total backoff retries across all requests."""
-        return int(self.retries.sum())
-
-    @property
-    def latency_inflation(self) -> float:
-        """Mean added dispatch delay (seconds) over landed requests."""
-        landed = self.landed
-        if not landed.any():
-            return 0.0
-        extra = self.dispatch_times[landed] - self.arrivals[landed]
-        return float(extra.mean())
-
-
 def _backoff_delay(k: int, config: FailoverConfig) -> float:
     """Delay before retry ``k`` (1-based): capped exponential."""
     return min(config.backoff_base * (2.0 ** (k - 1)), config.backoff_cap)
-
-
-def route_with_failover(
-    router: Router,
-    ctx: RouteContext,
-    faults: FaultSchedule,
-    config: FailoverConfig = FailoverConfig(),
-) -> FailoverOutcome:
-    """Scalar failure-aware reference loop (the semantics of record).
-
-    Walks the requests once; each request is resolved fully — natural
-    choice, backoff retries, landing or drop — before the next arrival
-    is considered (retried requests book at their *delayed* dispatch
-    instants, so a later-arriving request can observe their bookings;
-    the dispatcher-level service model already abstracts in-flight
-    detail, and inline resolution keeps the pass deterministic and
-    single-sweep).  Backlog bookkeeping is the list-walking
-    :class:`_BacklogTracker`; arrival-instant masks come from one
-    vectorized :meth:`~repro.workload.FaultSchedule.down_mask` sweep
-    (bit-equal to per-device :meth:`~repro.workload.FaultSchedule.is_down`
-    queries, pinned so in tests) and retry probes use the exact
-    point-query :meth:`~repro.workload.FaultSchedule.alive_mask` — the
-    vectorized twin :func:`route_with_failover_step` is pinned against
-    this loop bit for bit.
-    """
-    if faults.n_devices != ctx.n_devices:
-        raise ValueError(
-            f"fault schedule covers {faults.n_devices} devices, "
-            f"context has {ctx.n_devices}"
-        )
-    n = int(ctx.arrivals.size)
-    tracker = _BacklogTracker(ctx.n_devices)
-    state = router.begin_route(ctx)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
-
-    def backlog_view():
-        lengths = np.array(
-            [tracker.queue_len(d) for d in range(ctx.n_devices)],
-            dtype=np.int64,
-        )
-        return lengths, tracker.last_completion
-
-    for i in range(n):
-        now = float(ctx.arrivals[i])
-        t = now
-        k = 0
-        tracker.settle(t)
-        alive = alive_rows[i]
-        lengths, last = backlog_view()
-        choice = router.decide_one(state, lengths, last, t, ctx)
-        while not alive[choice]:
-            if k == config.max_retries:
-                choice = -1
-                break
-            k += 1
-            t = t + _backoff_delay(k, config)
-            tracker.settle(t)
-            alive = faults.alive_mask(t)
-            if config.policy == "resubmit":
-                lengths, last = backlog_view()
-                choice = router.decide_one(state, lengths, last, t, ctx)
-            elif alive.any():
-                lengths, last = backlog_view()
-                choice = router.decide_one(
-                    state, lengths, last, t, ctx, alive=alive
-                )
-            # whole fleet down under next_best: hold the choice, back off
-        if choice >= 0:
-            tracker.assign(choice, t, float(ctx.demands[i]))
-        assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-    return FailoverOutcome(
-        arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-    )
-
-
-def route_with_failover_step(
-    router: Router,
-    ctx: RouteContext,
-    faults: FaultSchedule,
-    config: FailoverConfig = FailoverConfig(),
-) -> FailoverOutcome:
-    """Epoch-advance failure-aware routing (the vectorized fast path).
-
-    Same attempt/backoff/landing semantics as
-    :func:`route_with_failover`, different mechanics: the backlog lives
-    in dense arrays settled through one shared completion heap
-    (:class:`_DenseBacklog`), and the live/dead masks at the *arrival*
-    instants come from one whole-trace
-    :meth:`~repro.workload.FaultSchedule.down_mask` sweep — one
-    searchsorted per device over the full arrival array instead of a
-    Python interval lookup per (request, device) pair.  Retry probes
-    (rare, and at off-arrival instants) use the exact
-    :meth:`~repro.workload.FaultSchedule.alive_mask` query the scalar
-    loop uses.  Booked completion times and backoff instants are
-    computed with the same Python-float arithmetic, masks are exact
-    boolean replays, and decisions go through the same
-    :meth:`Router.decide_one` — so the outcome is bit-identical to the
-    scalar reference (pinned in tests/test_fleet_faults.py and
-    asserted in-bench).
-    """
-    if faults.n_devices != ctx.n_devices:
-        raise ValueError(
-            f"fault schedule covers {faults.n_devices} devices, "
-            f"context has {ctx.n_devices}"
-        )
-    n = int(ctx.arrivals.size)
-    backlog = _DenseBacklog(ctx.n_devices)
-    queue_len = backlog.queue_len
-    last_completion = backlog.last_completion
-    settle = backlog.settle
-    assign = backlog.assign
-    state = router.begin_route(ctx)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
-
-    arrivals = ctx.arrivals.tolist()
-    demands = ctx.demands.tolist()
-    decide = router.decide_one
-    for i in range(n):
-        now = arrivals[i]
-        t = now
-        k = 0
-        settle(t)
-        alive = alive_rows[i]
-        choice = decide(state, queue_len, last_completion, t, ctx)
-        while not alive[choice]:
-            if k == config.max_retries:
-                choice = -1
-                break
-            k += 1
-            t = t + _backoff_delay(k, config)
-            settle(t)
-            alive = faults.alive_mask(t)
-            if config.policy == "resubmit":
-                choice = decide(state, queue_len, last_completion, t, ctx)
-            elif alive.any():
-                choice = decide(
-                    state, queue_len, last_completion, t, ctx, alive=alive
-                )
-        if choice >= 0:
-            assign(choice, t, demands[i])
-        assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-    return FailoverOutcome(
-        arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-    )
 
 
 # ---------------------------------------------------------------------- #
 # overload resilience: circuit breakers, retry budget, deadline shedding
 # ---------------------------------------------------------------------- #
 
-#: assignment sentinel — retries exhausted, request dropped (as in
-#: :class:`FailoverOutcome`)
+#: assignment sentinel — retries exhausted, request dropped
 DROPPED_ASSIGNMENT = -1
 #: assignment sentinel — request proactively shed (deadline or budget)
 SHED_ASSIGNMENT = -2
@@ -865,16 +665,17 @@ class RetryBudgetConfig:
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Graceful-degradation settings for the overload-aware engines.
+    """The single fault configuration of the fault-aware engines.
 
-    Composes the existing backoff/failover shape with three independent
-    protections, each disabled by default: per-device circuit breakers
-    (``breaker``), a fleet-wide retry budget (``retry_budget``), and
-    deadline-aware admission control (``slo`` seconds per request; a
-    request whose predicted completion — backlog plus brownout-inflated
-    demand — misses ``arrival + slo`` is shed instead of dispatched).
-    With all three left ``None`` the overload engines reduce exactly to
-    the plain failover path (pinned bit-identical in tests).
+    Composes the backoff/failover shape (``failover``) with three
+    independent protections, each disabled by default: per-device
+    circuit breakers (``breaker``), a fleet-wide retry budget
+    (``retry_budget``), and deadline-aware admission control (``slo``
+    seconds per request; a request whose predicted completion — backlog
+    plus brownout-inflated demand — misses ``arrival + slo`` is shed
+    instead of dispatched).  With all three left ``None`` the engines
+    do plain failover: retries and drops, never a shed or a trip (its
+    outcomes are pinned by digest in tests/test_fleet_overload.py).
     """
 
     failover: FailoverConfig = FailoverConfig()
@@ -921,8 +722,8 @@ class _BreakerFleet:
     exact class and feed it the same (choice, instant, wait) sequence,
     so breaker decisions are bit-identical across engines by
     construction.  With ``config=None`` every method is a no-op and
-    :meth:`routing_mask` returns None — the disabled path adds nothing
-    to the failover semantics.
+    :meth:`routing_mask` returns None — disabled breakers add nothing
+    to plain failover.
     """
 
     def __init__(self, n_devices: int, config: Optional[BreakerConfig]):
@@ -1051,12 +852,15 @@ def _routable(
 
 @dataclass
 class OverloadOutcome:
-    """Per-request result of one overload-aware routing pass.
+    """Per-request result of one fault-aware routing pass.
 
-    Extends the :class:`FailoverOutcome` encoding: ``assignments[i]`` is
-    the landing device, ``-1`` for a dropped request (retries exhausted,
-    fleet down) or ``-2`` for a *shed* request (deadline or retry-budget
-    admission control — see ``shed_reasons``).  ``completions[i]`` is
+    ``assignments[i]`` is the landing device, ``-1`` for a dropped
+    request (retries exhausted, fleet down) or ``-2`` for a *shed*
+    request (deadline or retry-budget admission control — see
+    ``shed_reasons``).  ``dispatch_times[i]`` is the instant the request
+    finally dispatched (its arrival plus any backoff delays; for a
+    dropped or shed request, the instant the dispatcher gave up) and
+    ``retries[i]`` the number of backoff delays taken.  ``completions[i]`` is
     the dispatcher-model booked completion instant for landed requests
     (NaN otherwise) and ``deadlines[i]`` the admission deadline
     (``arrival + slo``; +inf with deadlines disabled) — together they
@@ -1143,11 +947,24 @@ def route_with_overload(
     faults: FaultSchedule,
     config: OverloadConfig = OverloadConfig(),
 ) -> OverloadOutcome:
-    """Scalar overload-aware reference loop (the semantics of record).
+    """Scalar fault-aware reference loop (the semantics of record).
 
-    The :func:`route_with_failover` retry loop extended with the three
-    graceful-degradation mechanisms of :class:`OverloadConfig`, each a
-    provable no-op when disabled:
+    Walks the requests once; each request is resolved fully — natural
+    choice, backoff retries, landing, drop or shed — before the next
+    arrival is considered (retried requests book at their *delayed*
+    dispatch instants, so a later-arriving request can observe their
+    bookings; inline resolution keeps the pass deterministic and
+    single-sweep).  Backlog bookkeeping is the list-walking
+    :class:`_BacklogTracker`, and liveness comes from exact point
+    queries only — :meth:`~repro.workload.FaultSchedule.is_down` for
+    the picked device, :meth:`~repro.workload.FaultSchedule.alive_mask`
+    for a retry's masked re-decision — never from the whole-trace
+    :meth:`~repro.workload.FaultSchedule.down_mask` sweep the fast path
+    uses, so a fault in that sweep shows up as a divergence.
+
+    On top of the failover shape of :class:`FailoverConfig` come the
+    three graceful-degradation mechanisms of :class:`OverloadConfig`,
+    each a provable no-op when disabled:
 
     - every decision consults the breaker mask
       (:meth:`_BreakerFleet.routing_mask` — None when disabled, so the
@@ -1162,10 +979,8 @@ def route_with_overload(
 
     Landed requests book ``demand × severity_at(device, t)`` — a
     browned-out device serves, but slowly, and the deadline check sees
-    that inflated cost.  With breakers, budget, and deadlines disabled
-    and a fail-stop schedule, assignments, dispatch times, and retries
-    are bit-identical to :func:`route_with_failover` (severity is
-    exactly 1.0 on live devices, and ``x * 1.0 == x`` bitwise).
+    that inflated cost; on a fail-stop schedule severity is exactly 1.0
+    on every live device.
     """
     if faults.n_devices != ctx.n_devices:
         raise ValueError(
@@ -1189,7 +1004,6 @@ def route_with_overload(
     )
     completions = np.full(n, math.nan)
     effective_demands = np.array(ctx.demands, dtype=np.float64, copy=True)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
 
     def backlog_view():
         lengths = np.array(
@@ -1205,12 +1019,11 @@ def route_with_overload(
         deadline = float(deadlines[i])
         reason = SHED_NONE
         tracker.settle(t)
-        alive = alive_rows[i]
         lengths, last = backlog_view()
         choice = router.decide_one(
             state, lengths, last, t, ctx, alive=breaker.routing_mask(t)
         )
-        while not alive[choice]:
+        while faults.is_down(choice, t):
             breaker.record_failure(choice, t)
             if k == failover.max_retries:
                 choice = DROPPED_ASSIGNMENT
@@ -1226,14 +1039,15 @@ def route_with_overload(
                 reason = SHED_DEADLINE
                 break
             tracker.settle(t)
-            alive = faults.alive_mask(t)
             if failover.policy == "resubmit":
                 lengths, last = backlog_view()
                 choice = router.decide_one(
                     state, lengths, last, t, ctx,
                     alive=breaker.routing_mask(t),
                 )
-            elif alive.any():
+                continue
+            alive = faults.alive_mask(t)
+            if alive.any():
                 lengths, last = backlog_view()
                 choice = router.decide_one(
                     state, lengths, last, t, ctx,
@@ -1275,14 +1089,17 @@ def route_with_overload_step(
     faults: FaultSchedule,
     config: OverloadConfig = OverloadConfig(),
 ) -> OverloadOutcome:
-    """Epoch-advance overload-aware routing (the vectorized fast path).
+    """Epoch-advance fault-aware routing (the vectorized fast path).
 
-    Same semantics as :func:`route_with_overload`, same mechanics split
-    as the failover pair: dense backlog arrays settled through one
-    shared completion heap, arrival-instant masks from one whole-trace
-    :meth:`~repro.workload.FaultSchedule.down_mask` sweep, exact
+    Same semantics as :func:`route_with_overload`, different mechanics:
+    dense backlog arrays settled through one shared completion heap
+    (:class:`_DenseBacklog`), arrival-instant masks from one whole-trace
+    :meth:`~repro.workload.FaultSchedule.down_mask` sweep (one
+    searchsorted per device over the full arrival array), exact
     :meth:`~repro.workload.FaultSchedule.alive_mask` point queries for
-    retry probes.  Breaker and retry-budget state live in the *same*
+    retry probes, and no severity lookup at all on a schedule without
+    brownouts (a live device's severity is then exactly 1.0, and
+    ``x * 1.0 == x``).  Breaker and retry-budget state live in the *same*
     classes the scalar loop uses (:class:`_BreakerFleet`,
     :class:`_RetryBudget`) and observe the same event sequence, so the
     outcome — assignments, dispatch times, retries, shed mask and
@@ -1301,28 +1118,35 @@ def route_with_overload_step(
     queue_len = backlog.queue_len
     last_completion = backlog.last_completion
     settle = backlog.settle
-    assign = backlog.assign
+    book = backlog.book
     state = router.begin_route(ctx)
     breaker = _BreakerFleet(ctx.n_devices, config.breaker)
     budget = _RetryBudget(config.retry_budget)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    shed_reasons = np.zeros(n, dtype=np.int8)
     deadlines = (
         np.full(n, math.inf)
         if config.slo is None
         else ctx.arrivals + float(config.slo)
     )
-    completions = np.full(n, math.nan)
-    effective_demands = np.array(ctx.demands, dtype=np.float64, copy=True)
     alive_rows = ~faults.down_mask(ctx.arrivals)
 
+    # per-request results collect in Python lists (cheaper per write
+    # than NumPy item assignment) and become arrays once at the end
     arrivals = ctx.arrivals.tolist()
     demands = ctx.demands.tolist()
     deadline_list = deadlines.tolist()
+    assignments = [0] * n
+    dispatch_times = [0.0] * n
+    retries = [0] * n
+    shed_reasons = [SHED_NONE] * n
+    completions = [math.nan] * n
+    effective_demands = list(demands)
     decide = router.decide_one
-    severity_at = faults.severity_at
+    severity_at = faults.severity_at if faults.has_brownouts else None
+    # disabled breakers route on no mask and record nothing: skip the calls
+    routing_mask = record_outcome = None
+    if config.breaker is not None:
+        routing_mask = breaker.routing_mask
+        record_outcome = breaker.record_outcome
     for i in range(n):
         now = arrivals[i]
         t = now
@@ -1333,7 +1157,7 @@ def route_with_overload_step(
         alive = alive_rows[i]
         choice = decide(
             state, queue_len, last_completion, t, ctx,
-            alive=breaker.routing_mask(t),
+            alive=None if routing_mask is None else routing_mask(t),
         )
         while not alive[choice]:
             breaker.record_failure(choice, t)
@@ -1364,30 +1188,33 @@ def route_with_overload_step(
                 )
             # whole fleet down under next_best: hold the choice, back off
         if choice >= 0:
-            demand = demands[i] * severity_at(choice, t)
+            demand = demands[i]
+            if severity_at is not None:
+                demand *= severity_at(choice, t)
             start = max(t, float(last_completion[choice]))
             done = start + demand
             if done > deadline:
                 choice = SHED_ASSIGNMENT
                 reason = SHED_DEADLINE
             else:
-                assign(choice, t, demand)
+                book(choice, done)
                 completions[i] = done
                 effective_demands[i] = demand
-                breaker.record_outcome(choice, t, start - t)
+                if record_outcome is not None:
+                    record_outcome(choice, t, start - t)
         assignments[i] = choice
         dispatch_times[i] = t
         retries[i] = k
         shed_reasons[i] = reason
     return OverloadOutcome(
         arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-        shed_reasons=shed_reasons,
+        assignments=np.array(assignments, dtype=np.int64),
+        dispatch_times=np.array(dispatch_times, dtype=np.float64),
+        retries=np.array(retries, dtype=np.int64),
+        shed_reasons=np.array(shed_reasons, dtype=np.int8),
         deadlines=deadlines,
-        completions=completions,
-        effective_demands=effective_demands,
+        completions=np.array(completions, dtype=np.float64),
+        effective_demands=np.array(effective_demands, dtype=np.float64),
         n_breaker_trips=breaker.trips,
     )
 
@@ -1474,45 +1301,6 @@ class Dispatcher:
             n_parts=self.n_devices,
         )
 
-    def dispatch_with_faults(
-        self,
-        trace: Trace,
-        faults,
-        failover: FailoverConfig = FailoverConfig(),
-        vectorized: bool = True,
-        fault_seed: Optional[int] = None,
-    ) -> Tuple[List[Trace], FailoverOutcome]:
-        """Route under a fault schedule and split into per-device traces.
-
-        ``faults`` is a :class:`~repro.workload.FaultSchedule` or a
-        :class:`~repro.workload.FaultProcess` (realized over the trace
-        window with ``fault_seed``, defaulting to the routing seed).
-        Dropped requests appear in the returned
-        :class:`FailoverOutcome` but in no sub-trace; landed requests
-        enter their device's stream at their *delayed* dispatch instant
-        (a retried request can dispatch after a later arrival, so each
-        sub-trace is stable-sorted by dispatch time), and the shared
-        window is stretched to cover the latest landing.
-        """
-        schedule = resolve_fault_schedule(
-            faults,
-            self.n_devices,
-            trace.duration,
-            seed=self.seed if fault_seed is None else int(fault_seed),
-        )
-        if schedule is None:
-            raise ValueError(
-                "dispatch_with_faults needs a fault schedule; "
-                "use dispatch() for the fault-free path"
-            )
-        ctx = self._context(trace)
-        engine = route_with_failover_step if vectorized else route_with_failover
-        outcome = engine(self.router, ctx, schedule, failover)
-        return (
-            self._split_outcome(outcome, ctx.demands, trace.duration),
-            outcome,
-        )
-
     def dispatch_with_overload(
         self,
         trace: Trace,
@@ -1521,16 +1309,22 @@ class Dispatcher:
         vectorized: bool = True,
         fault_seed: Optional[int] = None,
     ) -> Tuple[List[Trace], OverloadOutcome]:
-        """Route under overload protection and split into sub-traces.
+        """Route under faults and overload protection, then split.
 
-        The overload twin of :meth:`dispatch_with_faults`: breakers,
-        retry budget, deadline shedding, and brownout-inflated demands
-        per ``overload``.  ``faults`` may also be None — an always-up
-        schedule, so pure admission control can run without fault
-        injection.  Dropped *and shed* requests appear in the returned
+        ``faults`` is a :class:`~repro.workload.FaultSchedule`, a
+        :class:`~repro.workload.FaultProcess` (realized over the trace
+        window with ``fault_seed``, defaulting to the routing seed), or
+        None — an always-up schedule, so pure admission control can run
+        without fault injection.  ``overload`` carries the failover
+        shape plus breakers, retry budget and deadline shedding
+        (:class:`OverloadConfig`; the default is plain failover).
+        Dropped and shed requests appear in the returned
         :class:`OverloadOutcome` but in no sub-trace; landed requests
-        enter their device's stream at their delayed dispatch instant
-        with their brownout-inflated demand.
+        enter their device's stream at their *delayed* dispatch instant
+        with their brownout-inflated demand (a retried request can
+        dispatch after a later arrival, so each sub-trace is
+        stable-sorted by dispatch time), and the shared window is
+        stretched to cover the latest landing.
         """
         schedule = resolve_fault_schedule(
             faults,
@@ -1543,21 +1337,7 @@ class Dispatcher:
         ctx = self._context(trace)
         engine = route_with_overload_step if vectorized else route_with_overload
         outcome = engine(self.router, ctx, schedule, overload)
-        return (
-            self._split_outcome(
-                outcome, outcome.effective_demands, trace.duration
-            ),
-            outcome,
-        )
-
-    def _split_outcome(
-        self, outcome, demands: np.ndarray, duration: float
-    ) -> List[Trace]:
-        """Per-device sub-traces from a routing outcome: landed requests
-        at their delayed dispatch instants (stable-sorted — a retried
-        request can dispatch after a later arrival), shared window
-        stretched to the latest landing."""
-        duration = float(duration)
+        duration = float(trace.duration)
         landed = outcome.landed
         if landed.any():
             duration = max(
@@ -1567,13 +1347,16 @@ class Dispatcher:
         for d in range(self.n_devices):
             mask = outcome.assignments == d
             times = outcome.dispatch_times[mask]
-            sub_demands = demands[mask]
             order = np.argsort(times, kind="stable")
             subs.append(
                 Trace(
                     times[order],
                     duration=duration,
-                    service_demands=sub_demands[order],
+                    service_demands=outcome.effective_demands[mask][order],
                 )
             )
-        return subs
+        return subs, outcome
+
+    # The end-to-end benchmark's probe table looks this name up in the
+    # class ``__dict__``; the alias goes when that probe entry does.
+    dispatch_with_faults = dispatch_with_overload

@@ -30,7 +30,7 @@ Three engines, mirroring the repo's batched/scalar split:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
 from ..runtime.eventsim import run_step_batched, simulate_traces_batch
@@ -39,18 +39,53 @@ from ..sim.policy_api import EventPolicy
 from ..sim.simulator import DPMSimulator
 from ..workload.faults import resolve_fault_schedule
 from ..workload.trace import Trace
-from .dispatch import Dispatcher, FailoverConfig, OverloadConfig, Router
+from .dispatch import Dispatcher, OverloadConfig, Router
 from .report import FleetReport, build_fleet_report
 
 #: engines accepted by :func:`run_fleet`
 ENGINES = ("auto", "flat", "scalar")
 
 
-def _landed_fraction(outcome) -> float:
-    """Fraction of offered requests that landed (1.0 for an empty
-    trace) — the deadline-free goodput of a failover outcome."""
-    n = int(outcome.arrivals.size)
-    return float(outcome.landed.sum()) / n if n else 1.0
+def _route(
+    dispatcher: Dispatcher,
+    trace: Trace,
+    faults,
+    fault_seed: int,
+    overload: Optional[OverloadConfig],
+    vectorized: bool = True,
+) -> Tuple[List[Trace], dict]:
+    """Route one trace; returns its sub-traces and the fault and
+    overload fields of its :func:`build_fleet_report` call.
+
+    A cell with neither ``faults`` nor ``overload`` takes plain
+    :meth:`Dispatcher.dispatch`; every other cell runs the fault-aware
+    engines under ``overload`` (plain failover when None).
+    """
+    n_offered = int(trace.arrival_times.size)
+    if faults is None and overload is None:
+        return (dispatcher.dispatch(trace, vectorized=vectorized),
+                {"n_offered": n_offered})
+    schedule = resolve_fault_schedule(
+        faults, dispatcher.n_devices, trace.duration, seed=fault_seed,
+    )
+    sub_traces, outcome = dispatcher.dispatch_with_overload(
+        trace, schedule,
+        overload=overload if overload is not None else OverloadConfig(),
+        vectorized=vectorized,
+    )
+    return sub_traces, {
+        "availability": 1.0 if schedule is None
+        else float(schedule.availability().mean()),
+        "n_retries": outcome.n_retries,
+        "n_dropped": outcome.n_dropped,
+        "failover_latency_inflation": outcome.latency_inflation,
+        "n_shed": outcome.n_shed,
+        "n_budget_shed": outcome.n_budget_shed,
+        "goodput": outcome.goodput,
+        "slo_attainment": outcome.slo_attainment,
+        "n_breaker_trips": outcome.n_breaker_trips,
+        "n_offered": n_offered,
+    }
 
 
 def run_fleet(
@@ -65,7 +100,6 @@ def run_fleet(
     engine: str = "auto",
     keep_latencies: bool = True,
     faults=None,
-    failover: Optional[FailoverConfig] = None,
     fault_seed: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> FleetReport:
@@ -79,22 +113,18 @@ def run_fleet(
     ``faults`` injects device failures: a
     :class:`~repro.workload.FaultSchedule` or a
     :class:`~repro.workload.FaultProcess` (realized over the trace
-    window with ``fault_seed``, defaulting to ``route_seed``).  Routing
-    then goes through the failure-aware engines — the vectorized
-    epoch-advance path for ``auto``/``flat``, the scalar reference loop
-    for ``scalar``, pinned bit-identical — honouring ``failover``
-    (default :class:`~repro.fleet.dispatch.FailoverConfig`), and the
-    report carries availability/retry/drop/inflation metrics.
-
-    ``overload`` switches dispatch to the overload-aware engines
-    (circuit breakers, fleet-wide retry budget, deadline shedding,
-    brownout-inflated demands); give the failover shape inside
-    :class:`~repro.fleet.dispatch.OverloadConfig` then, not via
-    ``failover``.  A schedule with brownout (finite-severity) intervals
-    upgrades to the overload engines automatically — the plain failover
-    path has no notion of a slow-but-alive device.  The report then
-    additionally carries shed counts, goodput, SLO attainment, and
-    breaker trips.
+    window with ``fault_seed``, defaulting to ``route_seed``).
+    ``overload`` (:class:`~repro.fleet.dispatch.OverloadConfig`) is the
+    single fault configuration: the failover shape plus circuit
+    breakers, a fleet-wide retry budget and deadline shedding.  With
+    either given, routing goes through the fault-aware engines — the
+    vectorized epoch-advance path for ``auto``/``flat``, the scalar
+    reference loop for ``scalar``, pinned bit-identical — under
+    ``overload`` (default ``OverloadConfig()``: plain failover), with
+    brownout intervals inflating booked demands.  The report then
+    carries availability, retry/drop/shed counts, dispatch-delay
+    inflation, goodput, SLO attainment and breaker trips.  With
+    neither, the cell takes the plain router path.
 
     The fleet quantiles always merge the exact per-device completion
     streams; ``keep_latencies=False`` drops the raw arrays from the
@@ -103,75 +133,25 @@ def run_fleet(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if overload is not None and failover is not None:
-        raise ValueError(
-            "give the failover shape inside OverloadConfig "
-            "(overload.failover), not via the failover argument too"
-        )
     if engine == "flat":
         return run_fleet_batch(
             device, policy, [trace], router, n_devices,
             service_time=service_time, oracle=oracle,
             route_seeds=[route_seed], keep_latencies=keep_latencies,
-            faults=faults, failover=failover,
+            faults=faults,
             fault_seeds=None if fault_seed is None else [fault_seed],
             overload=overload,
         )[0]
     dispatcher = Dispatcher(
         router, n_devices, device, service_time=service_time, seed=route_seed,
     )
-    fault_kwargs = {"n_offered": int(trace.arrival_times.size)}
     with TELEMETRY.span("route", cat="fleet", engine=engine,
                         n_devices=n_devices):
-        schedule = None
-        if faults is not None:
-            schedule = resolve_fault_schedule(
-                faults, n_devices, trace.duration,
-                seed=route_seed if fault_seed is None else int(fault_seed),
-            )
-        if overload is not None or (
-            schedule is not None and schedule.has_brownouts
-        ):
-            cfg = overload if overload is not None else OverloadConfig(
-                failover=failover if failover is not None
-                else FailoverConfig()
-            )
-            sub_traces, outcome = dispatcher.dispatch_with_overload(
-                trace, schedule, overload=cfg,
-                vectorized=engine == "auto",
-            )
-            fault_kwargs.update(
-                availability=1.0 if schedule is None
-                else float(schedule.availability().mean()),
-                n_retries=outcome.n_retries,
-                n_dropped=outcome.n_dropped,
-                failover_latency_inflation=outcome.latency_inflation,
-                n_shed=outcome.n_shed,
-                n_budget_shed=outcome.n_budget_shed,
-                goodput=outcome.goodput,
-                slo_attainment=outcome.slo_attainment,
-                n_breaker_trips=outcome.n_breaker_trips,
-            )
-        elif schedule is None:
-            sub_traces = dispatcher.dispatch(
-                trace, vectorized=engine == "auto"
-            )
-        else:
-            sub_traces, outcome = dispatcher.dispatch_with_faults(
-                trace, schedule,
-                failover=failover if failover is not None
-                else FailoverConfig(),
-                vectorized=engine == "auto",
-            )
-            fault_kwargs.update(
-                availability=float(schedule.availability().mean()),
-                n_retries=outcome.n_retries,
-                n_dropped=outcome.n_dropped,
-                failover_latency_inflation=outcome.latency_inflation,
-                # no deadlines: every landed request is good, so
-                # goodput is exactly the dispatched fraction
-                goodput=_landed_fraction(outcome),
-            )
+        sub_traces, fault_kwargs = _route(
+            dispatcher, trace, faults,
+            route_seed if fault_seed is None else int(fault_seed),
+            overload, vectorized=engine == "auto",
+        )
     with TELEMETRY.span("kernel", cat="fleet", engine=engine,
                         n_traces=len(sub_traces)):
         if engine == "auto":
@@ -207,7 +187,6 @@ def run_fleet_batch(
     route_seeds: Optional[Sequence[int]] = None,
     keep_latencies: bool = True,
     faults=None,
-    failover: Optional[FailoverConfig] = None,
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
@@ -232,15 +211,9 @@ def run_fleet_batch(
     each flattened sub-trace carries its failover-delayed dispatch
     instants — per-seed reports remain pure functions of their own
     ``(trace, route_seed, fault_seed)``, preserving chunking-invariance.
-    ``overload`` (or a brownout-bearing schedule) routes each trace
-    through the overload-aware dispatch engines, exactly as in
+    ``faults`` and ``overload`` select the routing path exactly as in
     :func:`run_fleet`.
     """
-    if overload is not None and failover is not None:
-        raise ValueError(
-            "give the failover shape inside OverloadConfig "
-            "(overload.failover), not via the failover argument too"
-        )
     traces = list(traces)
     if not traces:
         return []
@@ -271,54 +244,9 @@ def run_fleet_batch(
                 service_time=service_time, seed=seed,
             )
             router_name = dispatcher.router.name
-            n_offered = int(trace.arrival_times.size)
-            schedule = None
-            if faults is not None:
-                schedule = resolve_fault_schedule(
-                    faults, n_devices, trace.duration, seed=fseed,
-                )
-            if overload is not None or (
-                schedule is not None and schedule.has_brownouts
-            ):
-                cfg = overload if overload is not None else OverloadConfig(
-                    failover=failover if failover is not None
-                    else FailoverConfig()
-                )
-                subs, outcome = dispatcher.dispatch_with_overload(
-                    trace, schedule, overload=cfg,
-                )
-                sub_traces.extend(subs)
-                fault_kwargs.append({
-                    "availability": 1.0 if schedule is None
-                    else float(schedule.availability().mean()),
-                    "n_retries": outcome.n_retries,
-                    "n_dropped": outcome.n_dropped,
-                    "failover_latency_inflation": outcome.latency_inflation,
-                    "n_shed": outcome.n_shed,
-                    "n_budget_shed": outcome.n_budget_shed,
-                    "goodput": outcome.goodput,
-                    "slo_attainment": outcome.slo_attainment,
-                    "n_breaker_trips": outcome.n_breaker_trips,
-                    "n_offered": n_offered,
-                })
-            elif schedule is None:
-                sub_traces.extend(dispatcher.dispatch(trace))
-                fault_kwargs.append({"n_offered": n_offered})
-            else:
-                subs, outcome = dispatcher.dispatch_with_faults(
-                    trace, schedule,
-                    failover=failover if failover is not None
-                    else FailoverConfig(),
-                )
-                sub_traces.extend(subs)
-                fault_kwargs.append({
-                    "availability": float(schedule.availability().mean()),
-                    "n_retries": outcome.n_retries,
-                    "n_dropped": outcome.n_dropped,
-                    "failover_latency_inflation": outcome.latency_inflation,
-                    "goodput": _landed_fraction(outcome),
-                    "n_offered": n_offered,
-                })
+            subs, kwargs = _route(dispatcher, trace, faults, fseed, overload)
+            sub_traces.extend(subs)
+            fault_kwargs.append(kwargs)
     with TELEMETRY.span("kernel", cat="fleet", engine="flat",
                         n_traces=len(sub_traces)):
         reports = run_step_batched(
@@ -331,8 +259,7 @@ def run_fleet_batch(
                 device, policy, trace, router, n_devices,
                 service_time=service_time, oracle=oracle, route_seed=seed,
                 engine="auto", keep_latencies=keep_latencies,
-                faults=faults, failover=failover, fault_seed=fseed,
-                overload=overload,
+                faults=faults, fault_seed=fseed, overload=overload,
             )
             for trace, seed, fseed in zip(traces, route_seeds, fault_seeds)
         ]

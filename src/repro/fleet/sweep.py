@@ -108,16 +108,18 @@ class FleetSweepSpec:
     #: single-fleet-size sweeps — a concrete
     #: :class:`~repro.workload.FaultSchedule`
     faults: Any = None
-    #: failover behaviour when routing under faults
+    #: failover behaviour when routing under faults without ``overload``
     failover: FailoverConfig = FailoverConfig()
     #: optional overload protection (circuit breakers, retry budget,
-    #: deadline shedding); also engaged automatically when ``faults``
-    #: carries brownout (finite-severity) intervals
+    #: deadline shedding) around ``failover``
     overload: Optional[OverloadConfig] = None
 
     @property
     def uses_overload(self) -> bool:
-        """True when cells route through the overload-aware engines."""
+        """True when the sweep can shed or slow requests — overload
+        protection is configured or the faults carry brownout
+        (finite-severity) intervals — so its table reports shed counts
+        and goodput."""
         if self.overload is not None:
             return True
         if isinstance(self.faults, FaultProcess):
@@ -307,6 +309,17 @@ class FleetSweepResult:
         )
 
 
+def _chunk_overload(
+    faults: Any, failover: FailoverConfig, overload: Optional[OverloadConfig]
+) -> Optional[OverloadConfig]:
+    """The fault configuration a chunk routes under: ``overload`` as
+    given, else plain ``failover`` when faults are injected, else None
+    (the fault-free router path)."""
+    if overload is None and faults is not None:
+        return OverloadConfig(failover=failover)
+    return overload
+
+
 def run_fleet_chunk(
     device_name: str,
     n_devices: int,
@@ -347,9 +360,8 @@ def run_fleet_chunk(
             route_seeds=[seed + ROUTE_SEED_OFFSET for seed in seeds],
             keep_latencies=False,
             faults=faults,
-            failover=None if overload is not None else failover,
             fault_seeds=[seed + FAULT_SEED_OFFSET for seed in seeds],
-            overload=overload,
+            overload=_chunk_overload(faults, failover, overload),
         )
 
 
@@ -381,9 +393,8 @@ def reference_fleet_chunk(
             service_time=service_time, oracle=policy_spec.oracle,
             route_seed=seed + ROUTE_SEED_OFFSET, engine="scalar",
             keep_latencies=False, faults=faults,
-            failover=None if overload is not None else failover,
             fault_seed=seed + FAULT_SEED_OFFSET,
-            overload=overload,
+            overload=_chunk_overload(faults, failover, overload),
         )
         for seed in seeds
     ]

@@ -1,10 +1,11 @@
 """Failure-aware routing: scalar/vectorized pinning, failover semantics.
 
 The contract extends the fleet's determinism discipline to injected
-faults: the vectorized failure-aware engine
-(:func:`~repro.fleet.route_with_failover_step`, dense backlog + an
-incremental transition-replay mask) must be **bit-identical** to the
-scalar reference loop (:func:`~repro.fleet.route_with_failover`,
+faults: the vectorized fault-aware engine
+(:func:`~repro.fleet.route_with_overload_step`, dense backlog + a
+whole-trace down mask) under plain failover (``OverloadConfig`` with
+breakers, budget and deadlines off) must be **bit-identical** to the
+scalar reference loop (:func:`~repro.fleet.route_with_overload`,
 list-walking backlog + exact per-device interval queries) on every
 router, preset, failover policy, and fault schedule — including the
 degenerate ones (lock-step correlated failures, cold-start cohorts,
@@ -25,9 +26,10 @@ from repro.fleet import (
     Dispatcher,
     FailoverConfig,
     FleetSweepSpec,
+    OverloadConfig,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
+    route_with_overload,
+    route_with_overload_step,
     run_fleet,
     run_fleet_batch,
 )
@@ -113,7 +115,7 @@ class TestNoFaultBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     @pytest.mark.parametrize("engine",
-                             (route_with_failover, route_with_failover_step))
+                             (route_with_overload, route_with_overload_step))
     def test_matches_plain_route(self, name, engine, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         router = make_router(name)
@@ -128,7 +130,7 @@ class TestNoFaultBitIdentity:
 
 
 class TestScalarVectorizedPinning:
-    """route_with_failover_step must be bit-identical to the scalar
+    """route_with_overload_step must be bit-identical to the scalar
     reference — assignments, dispatch instants, and retry counts —
     across routers x presets x failover policies x fault scenarios."""
 
@@ -138,14 +140,15 @@ class TestScalarVectorizedPinning:
     def test_pinned_across_scenarios(self, name, device_name, policy, rng):
         trace = renewal_trace(Exponential(0.8), 300.0, rng)
         router = make_router(name)
-        config = FailoverConfig(policy=policy, max_retries=3,
-                                backoff_base=0.25, backoff_cap=2.0)
+        config = OverloadConfig(failover=FailoverConfig(
+            policy=policy, max_retries=3, backoff_base=0.25, backoff_cap=2.0,
+        ))
         for label, faults in fault_scenarios(4, trace.duration).items():
-            ref = route_with_failover(
+            ref = route_with_overload(
                 router, make_context(trace, 4, device_name, seed=9),
                 faults, config,
             )
-            fast = route_with_failover_step(
+            fast = route_with_overload_step(
                 router, make_context(trace, 4, device_name, seed=9),
                 faults, config,
             )
@@ -162,19 +165,45 @@ class TestScalarVectorizedPinning:
         trace = renewal_trace(Exponential(0.5), 100.0, rng)
         faults = FaultSchedule([[(10.0, 30.0), (60.0, 61.0)]], trace.duration)
         router = make_router(name)
-        config = FailoverConfig(max_retries=2, backoff_base=0.5,
-                                backoff_cap=4.0)
-        ref = route_with_failover(
+        config = OverloadConfig(failover=FailoverConfig(
+            max_retries=2, backoff_base=0.5, backoff_cap=4.0,
+        ))
+        ref = route_with_overload(
             router, make_context(trace, 1, seed=3), faults, config)
-        fast = route_with_failover_step(
+        fast = route_with_overload_step(
             router, make_context(trace, 1, seed=3), faults, config)
         assert np.array_equal(ref.assignments, fast.assignments)
         assert np.array_equal(ref.dispatch_times, fast.dispatch_times)
         assert ref.n_dropped > 0  # the 20s outage outlives the backoff
 
+    def test_reference_does_not_share_down_mask(self, monkeypatch):
+        """The scalar reference takes liveness from exact point queries,
+        never from the whole-trace down_mask sweep of the fast path, so
+        a corrupted sweep must surface as a divergence."""
+        trace = Trace([1.0, 2.0], duration=10.0)
+        faults = FaultSchedule([[(0.0, 10.0)], []], 10.0)
+        real_down_mask = FaultSchedule.down_mask
+
+        def corrupted(self, times):
+            mask = real_down_mask(self, times)
+            assert mask[0, 0]  # request 0's natural pick is down
+            mask[0, 0] = False
+            return mask
+
+        monkeypatch.setattr(FaultSchedule, "down_mask", corrupted)
+        ref = route_with_overload(make_router("round_robin"),
+                                  make_context(trace, 2), faults)
+        fast = route_with_overload_step(make_router("round_robin"),
+                                        make_context(trace, 2), faults)
+        # the reference sees device 0 down and fails both requests over
+        assert ref.assignments.tolist() == [1, 1]
+        assert ref.retries.tolist() == [1, 1]
+        # the fast path believes the corrupted mask for request 0
+        assert fast.assignments.tolist() == [0, 1]
+
     def test_device_count_mismatch_raises(self, rng):
         trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        for engine in (route_with_failover, route_with_failover_step):
+        for engine in (route_with_overload, route_with_overload_step):
             with pytest.raises(ValueError, match="covers 2 devices"):
                 engine(make_router("jsq"), make_context(trace, 4),
                        no_faults(2, trace.duration))
@@ -186,9 +215,9 @@ class TestFailoverSemantics:
         naturally land there fails over to a live device instead."""
         trace = Trace([1.0, 2.0, 3.0, 4.0], duration=10.0)
         faults = FaultSchedule([[(0.0, 10.0)], []], 10.0)
-        outcome = route_with_failover(
+        outcome = route_with_overload(
             make_router("jsq"), make_context(trace, 2), faults,
-            FailoverConfig(policy="next_best"),
+            OverloadConfig(failover=FailoverConfig(policy="next_best")),
         )
         assert outcome.n_dropped == 0
         assert (outcome.assignments == 1).all()
@@ -202,16 +231,19 @@ class TestFailoverSemantics:
         health-blind dispatch that next_best avoids."""
         trace = Trace([1.0], duration=200.0)
         faults = FaultSchedule([[(0.0, 150.0)], []], 200.0)
-        resubmit = route_with_failover(
+        resubmit = route_with_overload(
             make_router("jsq"), make_context(trace, 2), faults,
-            FailoverConfig(policy="resubmit", max_retries=3,
-                           backoff_base=0.5, backoff_cap=8.0),
+            OverloadConfig(failover=FailoverConfig(
+                policy="resubmit", max_retries=3,
+                backoff_base=0.5, backoff_cap=8.0,
+            )),
         )
         assert resubmit.assignments.tolist() == [-1]
         assert resubmit.retries.tolist() == [3]
-        next_best = route_with_failover(
+        next_best = route_with_overload(
             make_router("jsq"), make_context(trace, 2), faults,
-            FailoverConfig(policy="next_best", max_retries=3),
+            OverloadConfig(failover=FailoverConfig(policy="next_best",
+                                                   max_retries=3)),
         )
         assert next_best.assignments.tolist() == [1]
 
@@ -220,9 +252,10 @@ class TestFailoverSemantics:
         dispatch delay must be the sum of min(base * 2**(k-1), cap)."""
         trace = Trace([1.0], duration=100.0)
         faults = FaultSchedule([[(0.0, 90.0)], [(0.0, 90.0)]], 100.0)
-        config = FailoverConfig(max_retries=4, backoff_base=1.0,
-                                backoff_cap=4.0)
-        outcome = route_with_failover(
+        config = OverloadConfig(failover=FailoverConfig(
+            max_retries=4, backoff_base=1.0, backoff_cap=4.0,
+        ))
+        outcome = route_with_overload(
             make_router("round_robin"), make_context(trace, 2),
             faults, config,
         )
@@ -235,9 +268,11 @@ class TestFailoverSemantics:
         probe sees the repaired device and lands there."""
         trace = Trace([1.0], duration=100.0)
         faults = FaultSchedule([[(0.0, 3.0)], [(0.0, 90.0)]], 100.0)
-        outcome = route_with_failover(
+        outcome = route_with_overload(
             make_router("round_robin"), make_context(trace, 2), faults,
-            FailoverConfig(max_retries=4, backoff_base=1.0, backoff_cap=4.0),
+            OverloadConfig(failover=FailoverConfig(
+                max_retries=4, backoff_base=1.0, backoff_cap=4.0,
+            )),
         )
         # natural pick 0 (down), backoff to 2.0 (still down), to 4.0:
         # device 0 repaired — lands there
@@ -248,9 +283,9 @@ class TestFailoverSemantics:
     def test_max_retries_zero_drops_immediately(self):
         trace = Trace([1.0], duration=10.0)
         faults = FaultSchedule([[(0.0, 10.0)], []], 10.0)
-        outcome = route_with_failover(
+        outcome = route_with_overload(
             make_router("round_robin"), make_context(trace, 2), faults,
-            FailoverConfig(max_retries=0),
+            OverloadConfig(failover=FailoverConfig(max_retries=0)),
         )
         assert outcome.assignments.tolist() == [-1]
         assert outcome.dispatch_times.tolist() == [1.0]
@@ -267,8 +302,9 @@ class TestDispatchWithFaults:
         faults = FaultSchedule([[(0.95, 1.05)], []], 10.0)
         subs, outcome = Dispatcher(
             "round_robin", 2, get_preset("mobile_hdd"),
-        ).dispatch_with_faults(
-            trace, faults, FailoverConfig(backoff_base=0.5),
+        ).dispatch_with_overload(
+            trace, faults,
+            OverloadConfig(failover=FailoverConfig(backoff_base=0.5)),
         )
         # request 0: natural pick 0 (down at 1.0), retried at 1.5 onto
         # device 1; request 1: cursor pick 0 (repaired by 1.2); request
@@ -284,7 +320,10 @@ class TestDispatchWithFaults:
         faults = FaultSchedule([[(0.0, 10.0)], [(0.0, 10.0)]], 10.0)
         subs, outcome = Dispatcher(
             "jsq", 2, get_preset("mobile_hdd"),
-        ).dispatch_with_faults(trace, faults, FailoverConfig(max_retries=1))
+        ).dispatch_with_overload(
+            trace, faults,
+            OverloadConfig(failover=FailoverConfig(max_retries=1)),
+        )
         assert outcome.n_dropped == 2
         assert all(len(s) == 0 for s in subs)
 
@@ -295,27 +334,46 @@ class TestDispatchWithFaults:
         faults = FaultSchedule([[(9.0, 10.0)], []], 10.0)
         subs, outcome = Dispatcher(
             "round_robin", 2, get_preset("mobile_hdd"),
-        ).dispatch_with_faults(
-            trace, faults, FailoverConfig(backoff_base=1.0),
+        ).dispatch_with_overload(
+            trace, faults,
+            OverloadConfig(failover=FailoverConfig(backoff_base=1.0)),
         )
         assert outcome.dispatch_times.tolist() == [10.5]
         assert all(s.duration == 10.5 for s in subs)
 
-    def test_requires_schedule(self, rng):
-        trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        with pytest.raises(ValueError, match="fault schedule"):
-            Dispatcher("jsq", 2, get_preset("mobile_hdd")).\
-                dispatch_with_faults(trace, None)
+    @pytest.mark.parametrize("vectorized", (True, False))
+    def test_no_schedule_matches_plain_dispatch(self, vectorized, rng):
+        """``faults=None`` is an always-up fleet: both engines split the
+        trace exactly as plain dispatch does, with nothing retried,
+        dropped or shed."""
+        base = renewal_trace(Exponential(0.8), 200.0, rng)
+        trace = Trace(base.arrival_times, duration=base.duration,
+                      service_demands=rng.uniform(0.1, 1.0, len(base)))
+        dispatcher = Dispatcher("jsq", 3, get_preset("mobile_hdd"), seed=4)
+        plain = dispatcher.dispatch(trace)
+        subs, outcome = dispatcher.dispatch_with_overload(
+            trace, None, vectorized=vectorized,
+        )
+        assert outcome.n_retries == 0
+        assert outcome.n_dropped == 0
+        assert outcome.n_shed == 0
+        assert np.array_equal(outcome.dispatch_times, trace.arrival_times)
+        assert len(subs) == len(plain)
+        for sub, ref in zip(subs, plain):
+            assert np.array_equal(sub.arrival_times, ref.arrival_times)
+            assert np.array_equal(sub.service_demands, ref.service_demands)
+            assert sub.duration == ref.duration
 
     def test_accepts_process_and_is_seed_deterministic(self, rng):
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
         dispatcher = Dispatcher("jsq", 3, get_preset("mobile_hdd"), seed=4)
         proc = FaultProcess(mtbf=30.0, mttr=5.0)
-        subs_a, out_a = dispatcher.dispatch_with_faults(trace, proc)
-        subs_b, out_b = dispatcher.dispatch_with_faults(trace, proc)
+        subs_a, out_a = dispatcher.dispatch_with_overload(trace, proc)
+        subs_b, out_b = dispatcher.dispatch_with_overload(trace, proc)
         assert np.array_equal(out_a.assignments, out_b.assignments)
         assert np.array_equal(out_a.dispatch_times, out_b.dispatch_times)
-        _, out_c = dispatcher.dispatch_with_faults(trace, proc, fault_seed=99)
+        _, out_c = dispatcher.dispatch_with_overload(trace, proc,
+                                                     fault_seed=99)
         assert not np.array_equal(out_a.assignments, out_c.assignments)
 
 
@@ -340,7 +398,7 @@ class TestFleetEnginesUnderFaults:
         kwargs = dict(
             service_time=0.4, route_seed=21,
             faults=FaultProcess(mtbf=50.0, mttr=8.0), fault_seed=77,
-            failover=FailoverConfig(max_retries=3),
+            overload=OverloadConfig(failover=FailoverConfig(max_retries=3)),
         )
         ref = run_fleet(device, policy_factory(), trace,
                         make_router(router_name), 4, engine="scalar",
@@ -361,9 +419,9 @@ class TestFleetEnginesUnderFaults:
         device = get_preset("wlan")
         faults = FaultSchedule([[(30.0, 60.0)]] * 3, trace.duration)
         kwargs = dict(service_time=0.4, route_seed=5, faults=faults,
-                      failover=FailoverConfig(max_retries=2,
-                                              backoff_base=0.5,
-                                              backoff_cap=2.0))
+                      overload=OverloadConfig(failover=FailoverConfig(
+                          max_retries=2, backoff_base=0.5, backoff_cap=2.0,
+                      )))
         ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
                         3, engine="scalar", **kwargs)
         fast = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
@@ -380,7 +438,8 @@ class TestFleetEnginesUnderFaults:
         device = get_preset("mobile_hdd")
         faults = FaultSchedule([[(0.0, 100.0)], [(0.0, 100.0)]], 100.0)
         kwargs = dict(service_time=0.4, route_seed=1, faults=faults,
-                      failover=FailoverConfig(max_retries=0))
+                      overload=OverloadConfig(
+                          failover=FailoverConfig(max_retries=0)))
         ref = run_fleet(device, FixedTimeout(), trace,
                         make_router("round_robin"), 2, engine="scalar",
                         **kwargs)

@@ -7,8 +7,8 @@ bit-identical to the scalar reference
 degradation scenario — fail-stop outages, brownouts (finite severity:
 the device serves, but slowly), whole-fleet blackouts, and
 retry-budget exhaustion.  Second, **reduction**: with breakers, budget,
-and deadlines all disabled, the overload engines must reproduce the
-plain failover path choice for choice, bit for bit — graceful
+and deadlines all disabled, the engines must reproduce the recorded
+plain-failover outcomes bit for bit (sha256 digests) — graceful
 degradation is strictly additive.  Third, the **semantics** of each
 mechanism in isolation: breaker trip/half-open/reprobe transitions,
 token-bucket exhaustion and refill, deadline-aware admission, and the
@@ -17,6 +17,7 @@ conservation law dispatched + dropped + shed == offered.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -36,8 +37,6 @@ from repro.fleet import (
     SHED_BUDGET,
     SHED_DEADLINE,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
     route_with_overload,
     route_with_overload_step,
     run_fleet,
@@ -204,28 +203,58 @@ class TestConfigs:
 # --------------------------------------------------------------------- #
 
 
+#: sha256 of (assignments, dispatch_times, retries) — little-endian
+#: int64/float64/int64 bytes — from the plain failover engine on the
+#: scenario of test_reproduces_failover_digests, recorded before the
+#: dedicated failover engines were folded into the overload engines
+FAILOVER_DIGESTS = {
+    ("jsq", "next_best"):
+        "cb229b033338ef249ef7d2d2ec286c50042705f0eb9031de606b734f9aa87268",
+    ("jsq", "resubmit"):
+        "e97cf58908b06c26b374182447244264580620b5092333b8860304b8ace8e616",
+    ("power_aware", "next_best"):
+        "a94e3b2cd62248e99a3ab45f7266f6185a794d9844a8434b330002db89772e53",
+    ("power_aware", "resubmit"):
+        "f4a02d0da8069fb3e00fe32cadd7fffe6860265258673fd8a90234cc177958b5",
+    ("random", "next_best"):
+        "ad056d6d5d8072168e0f560eaa16dbeeeb8e4989d59f95639d4ca0785cee76c1",
+    ("random", "resubmit"):
+        "051615b76b0ac06e832aaee08665b9ec256834b586ad2696ceb0b619618224f9",
+    ("round_robin", "next_best"):
+        "721bd06e49d2001fbc8f8f24a9744d0adf81a7f1395daf01169265d4d7f2fd60",
+    ("round_robin", "resubmit"):
+        "ac082695754bee58af74d3a50143a0ab138f11278a40fd287c2180f7711cb998",
+}
+
+
+def failover_digest(outcome) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(outcome.assignments, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(outcome.dispatch_times,
+                                  dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(outcome.retries, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 class TestReductionToFailover:
-    """OverloadConfig with breakers, budget, and deadlines all None must
-    reproduce route_with_failover bit for bit on fail-stop schedules —
-    severity is exactly 1.0 on live devices and ``x * 1.0 == x``."""
+    """OverloadConfig with breakers, budget, and deadlines all None is
+    plain failover: both engines must reproduce the recorded failover
+    outcomes bit for bit on fail-stop schedules — severity is exactly
+    1.0 on live devices and ``x * 1.0 == x``."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     @pytest.mark.parametrize("policy", ("next_best", "resubmit"))
-    def test_bit_identical_to_failover(self, name, policy, rng):
+    def test_reproduces_failover_digests(self, name, policy, rng):
         trace = renewal_trace(Exponential(0.8), 300.0, rng)
         router = make_router(name)
         failover = FailoverConfig(policy=policy, max_retries=3,
                                   backoff_base=0.25, backoff_cap=2.0)
         faults = FaultProcess(mtbf=40.0, mttr=6.0).realize(
             4, trace.duration, seed=5)
-        ref = route_with_failover(
-            router, make_context(trace, 4, seed=9), faults, failover)
         for engine in (route_with_overload, route_with_overload_step):
             out = engine(router, make_context(trace, 4, seed=9), faults,
                          OverloadConfig(failover=failover))
-            assert np.array_equal(ref.assignments, out.assignments)
-            assert np.array_equal(ref.dispatch_times, out.dispatch_times)
-            assert np.array_equal(ref.retries, out.retries)
+            assert failover_digest(out) == FAILOVER_DIGESTS[name, policy]
             assert out.n_shed == 0
             assert out.n_breaker_trips == 0
             assert np.all(out.deadlines == math.inf)
@@ -618,16 +647,17 @@ class TestFleetEnginesUnderOverload:
         assert report.goodput <= report.n_requests / report.n_offered + 1e-12
         assert 0.0 <= report.slo_attainment <= 1.0
 
-    def test_brownout_schedule_auto_upgrades_failover_path(self, rng):
-        """Passing a brownout schedule through the plain ``failover``
-        argument must engage the overload engine (severity is not
-        representable on the fail-stop path) — and both engines agree."""
+    def test_brownout_schedule_under_plain_failover(self, rng):
+        """A brownout schedule under plain failover (every overload knob
+        off) still books severity-inflated demands — and both engines
+        agree."""
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
         device = get_preset("wlan")
         kwargs = dict(
             service_time=0.4, route_seed=3,
             faults=FaultProcess(mtbf=30.0, mttr=10.0, severity=3.0),
-            fault_seed=11, failover=FailoverConfig(max_retries=2),
+            fault_seed=11,
+            overload=OverloadConfig(failover=FailoverConfig(max_retries=2)),
         )
         ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
                         3, engine="scalar", **kwargs)
@@ -637,15 +667,6 @@ class TestFleetEnginesUnderOverload:
         # brownouts slow devices without killing them
         assert ref.availability == 1.0
         assert ref.n_dropped == 0
-
-    def test_overload_and_failover_are_mutually_exclusive(self, rng):
-        trace = renewal_trace(Exponential(0.8), 100.0, rng)
-        with pytest.raises(ValueError, match="overload.failover"):
-            run_fleet(get_preset("mobile_hdd"), AlwaysOn(), trace,
-                      make_router("jsq"), 2, service_time=0.4,
-                      faults=FaultProcess(mtbf=30.0, mttr=5.0),
-                      failover=FailoverConfig(),
-                      overload=OverloadConfig())
 
 
 class TestDispatcherOverload:
