@@ -292,7 +292,7 @@ _JOBBABLE = _SWEEPABLE + ("policies", "sim-sweep", "fleet-sweep")
 #: experiments that consume --devices / --router (fleet dispatch grid)
 _FLEETABLE = ("fleet-sweep",)
 #: experiments with a sampled shadow-execution path (--verify/--diagnostics);
-#: grid cells run through the executor directly and are excluded
+#: grid runs the always-on invariant pass but exposes no verify knob
 _VERIFIABLE = ("fig1", "fig2", "variation", "sim-sweep", "fleet-sweep")
 
 

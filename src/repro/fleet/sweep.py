@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -23,16 +25,16 @@ import numpy as np
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI, bootstrap_ci
 from ..device import get_preset
-from ..runtime.checkpoint import run_chunks_checkpointed, spec_hash
-from ..runtime.executor import get_executor, resolve_n_jobs
+from ..runtime.checkpoint import spec_hash
+from ..runtime.chunked import (
+    ChunkedSweep,
+    Reference,
+    cell_reports,
+    split_chunks,
+)
 from ..runtime.simsweep import PolicySpec, TraceSpec, estimate_request_seconds
 from ..runtime.telemetry import TELEMETRY
-from ..runtime.verify import (
-    InvariantViolation,
-    check_fleet_report,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
-)
+from ..runtime.verify import check_fleet_report
 from ..workload.faults import FaultProcess, FaultSchedule
 from .dispatch import (
     ROUTERS,
@@ -250,8 +252,8 @@ class FleetSweepResult:
 
     spec: FleetSweepSpec
     cells: List[FleetCellResult] = field(default_factory=list)
-    #: how the runner executed the grid: requested vs effective job
-    #: count, the degrade decision, and the per-chunk work estimate
+    #: how the runner executed the grid (see
+    #: :class:`~repro.runtime.chunked.ChunkedSweep`)
     execution: Dict[str, Any] = field(default_factory=dict)
 
     def cell(self, n_devices: int, router: str, policy: str) -> FleetCellResult:
@@ -400,65 +402,14 @@ def reference_fleet_chunk(
     ]
 
 
-class FleetSweepRunner:
-    """Chunked executor fan-out over the fleet cell grid.
-
-    Parameters
-    ----------
-    chunk_size:
-        Trace replications per work unit.
-    n_jobs:
-        Worker processes to shard (cell, chunk) units across (1 = serial).
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed chunks are recorded as
-        they finish and skipped on the next run with the same spec and
-        chunk size — resumed results are bit-identical to an
-        uninterrupted run.
-    verify_fraction:
-        Fraction of work units to shadow-verify: each sampled chunk is
-        re-run per-seed through the ``engine="scalar"`` reference
-        dispatcher and compared field-for-field (rel <= 1e-9).  The
-        sample is a deterministic function of the spec, so resumed and
-        fresh runs verify the same cells.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`; the sample
-        and outcome land in the result's ``execution["verification"]``.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
-    """
+class FleetSweepRunner(ChunkedSweep):
+    """Chunked executor fan-out over the fleet cell grid:
+    ``chunk_size`` trace replications per (cell, seed-chunk) unit, the
+    other knobs as on :class:`~repro.runtime.chunked.ChunkedSweep`."""
 
     def __init__(self, chunk_size: int = 4, n_jobs: int = 1,
-                 timeout: Optional[float] = None, max_retries: int = 0,
-                 retry_backoff: float = 0.5,
-                 checkpoint: Optional[str] = None,
-                 verify_fraction: float = 0.0,
-                 diagnostics_dir: Optional[str] = None) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.chunk_size = int(chunk_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+                 **options: Any) -> None:
+        super().__init__(chunk_size, n_jobs, **options)
 
     def estimate_chunk_seconds(self, spec: FleetSweepSpec) -> float:
         """Mean estimated wall seconds of one (cell, seed-chunk) unit.
@@ -495,113 +446,57 @@ class FleetSweepRunner:
 
     def run(self, spec: FleetSweepSpec) -> FleetSweepResult:
         """Run the full grid; deterministic for any (chunk_size, n_jobs)."""
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="fleet",
-                                n_traces=spec.n_traces,
-                                chunk_size=self.chunk_size,
-                                n_jobs=self.n_jobs):
-                result = self._run(spec)
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run(self, spec: FleetSweepSpec) -> FleetSweepResult:
-        seeds = spec.seeds()
-        chunks = [
-            seeds[i:i + self.chunk_size]
-            for i in range(0, len(seeds), self.chunk_size)
+        chunks = split_chunks(spec.seeds(), self.chunk_size)
+        cells = list(product(
+            [int(n) for n in spec.fleet_sizes], spec.routers, spec.policies
+        ))
+        tasks = [
+            (spec.device, n_devices, router_name, policy_spec, spec.trace,
+             spec.service_time, chunk, spec.faults, spec.failover,
+             spec.overload)
+            for n_devices, router_name, policy_spec in cells
+            for chunk in chunks
         ]
-        cell_keys: List[Tuple[int, str, str]] = []
-        tasks = []
-        for n_devices in spec.fleet_sizes:
-            for router_name in spec.routers:
-                for policy_spec in spec.policies:
-                    cell_keys.append(
-                        (int(n_devices), router_name, policy_spec.label)
-                    )
-                    for chunk in chunks:
-                        tasks.append(
-                            (spec.device, int(n_devices), router_name,
-                             policy_spec, spec.trace, spec.service_time, chunk,
-                             spec.faults, spec.failover, spec.overload)
-                        )
-        est = self.estimate_chunk_seconds(spec)
-        n_jobs, decision = resolve_n_jobs(self.n_jobs, est, len(tasks))
-        spec_key = spec_hash(spec, self.chunk_size)
-        chunk_reports, resilience = run_chunks_checkpointed(
-            get_executor(n_jobs), run_fleet_chunk, tasks,
-            spec_key=spec_key,
-            checkpoint=self.checkpoint, timeout=self.timeout,
-            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
-        )
-        self._check_invariants(spec, spec_key, tasks, chunk_reports)
-        verification = None
-        if self.verify_fraction > 0.0:
-            verification = shadow_verify_chunks(
-                tasks, chunk_reports, self.verify_fraction, spec_key,
-                reference_fleet_chunk, "run_fleet scalar dispatcher",
-                seeds_of=lambda task: task[6],
-                # per-device sub-reports carry summation-order noise
-                # beyond the fleet-level pin; the folded fields are the
-                # contract
-                ignore=("device_reports", "latencies"),
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
+
+        def check(report, task, seed, spec_key, context):
+            _, n_devices, router_name, policy_spec, trace_spec, *_ = task
+            check_fleet_report(
+                report, spec_key=spec_key, seed=seed,
+                context={**context, "n_devices": n_devices,
+                         "router": router_name, "trace": trace_spec.name,
+                         "policy": policy_spec.label},
             )
 
-        result = FleetSweepResult(spec=spec, execution={
-            "n_jobs_requested": self.n_jobs,
-            "n_jobs_effective": n_jobs,
-            "decision": decision,
-            "estimated_chunk_seconds": est,
-            **({"verification": verification} if verification else {}),
-            **resilience,
-        })
-        per_cell = len(chunks)
-        for c, (n_devices, router_name, policy_label) in enumerate(cell_keys):
-            reports: List[FleetReport] = []
-            for chunk_out in chunk_reports[c * per_cell:(c + 1) * per_cell]:
-                reports.extend(chunk_out)
-            result.cells.append(
-                FleetCellResult(
-                    n_devices=n_devices, router=router_name,
-                    policy=policy_label, reports=reports,
-                )
-            )
-        return result
-
-    def _check_invariants(self, spec: FleetSweepSpec, spec_key: str,
-                          tasks, chunk_reports) -> None:
-        """Always-on invariant pass over every collected fleet report:
-        request/energy/residency conservation laws that hold for any
-        correct engine — a dict walk per report, not a re-simulation."""
-        try:
-            for t, (task, reports) in enumerate(zip(tasks, chunk_reports)):
-                (_, n_devices, router_name, policy_spec, trace_spec,
-                 _, chunk, *_rest) = task
-                for seed, report in zip(chunk, reports):
+        def assemble(reports, execution):
+            # request accounting is observability, not verification: it
+            # is counted here, in the parent, so pooled runs count every
+            # report whether or not workers ship telemetry back
+            for chunk in reports:
+                for report in chunk:
                     TELEMETRY.inc("fleet.requests", int(report.n_requests))
                     TELEMETRY.inc("fleet.requests_dropped",
                                   int(report.n_dropped))
                     TELEMETRY.inc("fleet.requests_retried",
                                   int(report.n_retries))
-                    TELEMETRY.inc("fleet.requests_shed",
-                                  int(report.n_shed))
+                    TELEMETRY.inc("fleet.requests_shed", int(report.n_shed))
                     TELEMETRY.inc("breaker.trips",
                                   int(report.n_breaker_trips))
-                    check_fleet_report(
-                        report, spec_key=spec_key, seed=seed,
-                        context={"chunk": t, "n_devices": int(n_devices),
-                                 "router": router_name,
-                                 "trace": trace_spec.name,
-                                 "policy": policy_spec.label},
-                    )
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed,
-                    chunk_id=exc.context.get("chunk"), details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant,
-                                      "context": exc.context},
-                )
-            raise
+            return FleetSweepResult(spec=spec, execution=execution, cells=[
+                FleetCellResult(n_devices=n_devices, router=router_name,
+                                policy=policy_spec.label, reports=cell)
+                for (n_devices, router_name, policy_spec), cell
+                in zip(cells, cell_reports(reports, len(chunks)))
+            ])
+
+        return self._sweep(
+            "fleet", spec, tasks, run_fleet_chunk, check, assemble,
+            seeds_of=itemgetter(6), spec_key=spec_hash(spec, self.chunk_size),
+            reference=Reference(
+                reference_fleet_chunk, "run_fleet scalar dispatcher",
+                # per-device sub-reports carry summation-order noise
+                # beyond the fleet-level pin; the folded fields are the
+                # contract
+                ignore=("device_reports", "latencies"),
+            ),
+            est_chunk_seconds=self.estimate_chunk_seconds(spec),
+        )

@@ -10,12 +10,16 @@ array ops and shards the resulting work units across processes:
   per-replica RNG streams;
 - :class:`BatchedQDPM` — B independent Q-DPM learners trained in one
   loop over disjoint row blocks of a single Q-table;
+- :class:`ChunkedSweep` — the one sweep driver (execution knobs,
+  :func:`resolve_n_jobs`, checkpointed interrupt-safe execution,
+  invariant pass, shadow verification, metadata, metrics) every sweep
+  runner below is a thin task-building/cell-assembling adapter over;
 - :class:`SweepRunner` — the unified multi-seed entry point
   (``run_many(spec, seeds, batch_size, n_jobs)``) every experiment
   routes through, with bootstrap-CI aggregation;
 - :mod:`~repro.runtime.executor` — the serial / multiprocessing
-  executor abstraction that ships ``(spec, chunk_seeds)`` work units to
-  worker processes and reassembles results in seed order;
+  executor abstraction that ships work units to worker processes and
+  returns results in submission order;
 - :class:`GridRunner` — grid-product scenario sweeps
   (rate x device x horizon x controller) fanned across the executor;
 - :mod:`~repro.runtime.eventsim` — vectorized busy-period kernel for
@@ -26,9 +30,8 @@ array ops and shards the resulting work units across processes:
   R replication runs one idle gap per step with dense per-replica
   policy state);
 - :class:`SimSweepRunner` — (device x trace x policy) event-sim cell
-  grids fanned across the executor with bootstrap-CI aggregation,
-  degrading to in-process execution when pool dispatch cannot pay for
-  itself (:func:`resolve_n_jobs`).
+  grids fanned across the executor with bootstrap-CI aggregation
+  (:class:`~repro.fleet.FleetSweepRunner` is its fleet counterpart).
 """
 
 from .batched_env import BatchedEnvTotals, BatchedSlottedEnv, BatchStepInfo
@@ -40,6 +43,7 @@ from .eventsim import (
     simulate_trace,
     simulate_traces_batch,
 )
+from .chunked import ChunkedSweep
 from .checkpoint import (
     CheckpointJournal,
     CheckpointMismatchError,
@@ -112,6 +116,7 @@ __all__ = [
     "SeedRun",
     "SweepResult",
     "SweepRunner",
+    "ChunkedSweep",
     "run_chunk",
     "SerialExecutor",
     "MultiprocessExecutor",

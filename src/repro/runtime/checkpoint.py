@@ -204,12 +204,11 @@ def run_chunks_checkpointed(
     timeout: Optional[float] = None,
     max_retries: int = 0,
     retry_backoff: float = 0.5,
-    diagnostics_dir: Optional[Union[str, Path]] = None,
-    spec: Any = None,
 ) -> Tuple[List[Any], Dict[str, Any]]:
     """Run chunked work units with optional resilience and checkpointing.
 
-    The single entry point the sweep runners share: fan ``tasks`` across
+    The execution step of the one sweep driver
+    (:class:`~repro.runtime.chunked.ChunkedSweep`): fan ``tasks`` across
     ``executor`` with the per-chunk ``timeout`` / ``max_retries`` /
     ``retry_backoff`` contract of
     :meth:`~repro.runtime.executor.MultiprocessExecutor.submit_all`, and
@@ -226,11 +225,6 @@ def run_chunks_checkpointed(
     chunks were journaled and where — since every collected chunk was
     already fsynced by the ``on_result`` hook, the resumed run is
     bit-identical to an uninterrupted one.
-
-    With ``diagnostics_dir`` set, an unrecoverable
-    :class:`~repro.runtime.executor.ChunkExecutionError` additionally
-    writes a minimal-repro JSON bundle (``spec`` rides along for the
-    bundle's spec field) before propagating.
 
     Raises :class:`CheckpointMismatchError` when an existing journal
     holds valid records but none for ``spec_key`` — a silent full
@@ -285,16 +279,10 @@ def run_chunks_checkpointed(
         # so the error names the chunk the caller knows (completed
         # results were already journaled via on_result, so a resumed
         # run picks up right behind the failure)
-        remapped = ChunkExecutionError(
+        raise ChunkExecutionError(
             todo[exc.chunk_index], exc.task,
             {todo[j]: r for j, r in exc.completed.items()}, exc.events,
-        )
-        if diagnostics_dir is not None:
-            from .verify import bundle_for_exception
-
-            bundle_for_exception(diagnostics_dir, remapped, spec=spec,
-                                 spec_key=spec_key)
-        raise remapped from exc.__cause__
+        ) from exc.__cause__
     except (KeyboardInterrupt, _InterruptSignal) as exc:
         if pending is not None:
             pending.cancel()

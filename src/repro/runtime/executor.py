@@ -1,10 +1,11 @@
 """Process-parallel execution of sweep work units.
 
-:class:`SweepRunner` chunks are embarrassingly parallel: every chunk is a
-pure function of ``(RolloutSpec, chunk_seeds)`` — per-replica RNG streams
-are constructed from the seeds inside the chunk, so a chunk computes the
-same bits whether it runs in the parent process or a worker.  This module
-supplies the executor abstraction that ships those units out:
+Sweep chunks are embarrassingly parallel: every chunk is a pure function
+of its argument tuple — RNG streams are constructed from the seeds
+inside the chunk, so a chunk computes the same bits whether it runs in
+the parent process or a worker.  This module supplies the executors the
+sweep driver (:class:`~repro.runtime.chunked.ChunkedSweep`) ships those
+units out with:
 
 - :class:`SerialExecutor` — in-process loop; the ``n_jobs = 1`` path and
   the reference semantics;
@@ -15,10 +16,10 @@ supplies the executor abstraction that ships those units out:
 Work functions must be module-level (picklable by reference) and their
 arguments/results picklable by value — every runtime work unit
 (``RolloutSpec``, seed lists, ``SeedRun``) is a plain dataclass/NumPy
-composite, so this holds by construction.  :func:`is_picklable` lets
-callers probe user-supplied callables (e.g. scalar-fallback controller
-factories, which are often closures) and degrade to the serial path
-instead of crashing the pool.
+composite, so this holds by construction.  :func:`is_picklable` lets the
+driver probe work units carrying user-supplied callables (e.g.
+scalar-fallback controller factories, which are often closures) and
+degrade to the serial path instead of crashing the pool.
 """
 
 from __future__ import annotations

@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
 from ..device import get_preset
 from ..env import build_dpm_model
 from ..workload.nonstationary import ConstantRate, RateSchedule
-from .executor import get_executor
-from .sweep import RolloutSpec, SweepResult, run_chunk
+from .checkpoint import spec_hash
+from .chunked import ChunkedSweep, cell_reports, split_chunks
+from .sweep import RolloutSpec, SweepResult, check_task_run, run_chunk
 
 #: Controller kinds a grid axis may name.
 CONTROLLERS = ("qdpm", "frozen")
@@ -188,6 +190,8 @@ class GridResult:
     grid: GridSpec
     seeds: List[int]
     cells: List[GridCellResult] = field(default_factory=list)
+    #: how the runner executed the grid (:class:`~repro.runtime.ChunkedSweep`)
+    execution: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def n_seeds(self) -> int:
@@ -223,54 +227,40 @@ class GridResult:
         return format_table(headers, rows, title=title)
 
 
-class GridRunner:
+class GridRunner(ChunkedSweep):
     """Fan a scenario grid's cell x chunk matrix across the executor.
 
-    Parameters
-    ----------
-    batch_size:
-        Replicas per lock-step batch within every cell.
-    n_jobs:
-        Worker processes the flattened task list shards across; cells
-        and chunks are all independent work units, so parallelism spans
-        the whole grid.
+    ``batch_size`` replicas per lock-step batch in every cell; ``n_jobs``
+    workers shard the flattened task list, so parallelism spans the
+    whole grid.  Execution (invariant pass, retry/degrade ladder,
+    interrupt handling) is :class:`~repro.runtime.chunked.ChunkedSweep`'s.
     """
 
+    batch_size = property(lambda self: self.chunk_size)
+
     def __init__(self, batch_size: int = 32, n_jobs: int = 1) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.batch_size = int(batch_size)
-        self.n_jobs = int(n_jobs)
+        super().__init__(batch_size, n_jobs)
 
     def run(self, grid: GridSpec, seeds: Sequence[int],
             n_jobs: Optional[int] = None) -> GridResult:
         """Run every grid cell for every seed; bit-identical for any
         ``(batch_size, n_jobs)`` combination."""
         seeds = [int(s) for s in seeds]
-        if not seeds:
-            raise ValueError("need at least one seed")
         cells = grid.cells()
-        tasks: List[Tuple[RolloutSpec, List[int]]] = []
-        owner: List[int] = []
-        for idx, cell in enumerate(cells):
-            for start in range(0, len(seeds), self.batch_size):
-                tasks.append((cell.spec, seeds[start:start + self.batch_size]))
-                owner.append(idx)
-        executor = get_executor(n_jobs if n_jobs is not None else self.n_jobs)
-        chunk_runs = executor.map(run_chunk, tasks)
-        # tasks were emitted cell-major / seed-minor and the executor
-        # preserves order, so grouping by owner restores seed order
-        per_cell: List[List] = [[] for _ in cells]
-        for idx, runs in zip(owner, chunk_runs):
-            per_cell[idx].extend(runs)
-        result = GridResult(grid=grid, seeds=seeds)
-        for cell, runs in zip(cells, per_cell):
-            result.cells.append(
-                GridCellResult(
-                    cell=cell,
-                    result=SweepResult(spec=cell.spec, runs=runs),
-                )
-            )
-        return result
+        chunks = split_chunks(seeds, self.chunk_size)
+        tasks = [(cell.spec, chunk) for cell in cells for chunk in chunks]
+
+        def assemble(reports, execution):
+            return GridResult(grid=grid, seeds=seeds, execution=execution,
+                              cells=[
+                GridCellResult(cell=cell,
+                               result=SweepResult(spec=cell.spec, runs=runs))
+                for cell, runs in zip(cells, cell_reports(reports,
+                                                          len(chunks)))
+            ])
+
+        return self._sweep(
+            "grid", grid, tasks, run_chunk, check_task_run, assemble,
+            seeds_of=itemgetter(1), spec_key=spec_hash(grid, self.chunk_size),
+            n_jobs=n_jobs,
+        )

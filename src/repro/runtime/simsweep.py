@@ -17,17 +17,14 @@ policies ride the vectorized busy-period kernel per trace, stateful
 batchable ones (adaptive, predictive) ride the lock-step
 cross-replication engine over the whole seed chunk, and policies with
 neither batch hook transparently use the scalar event loop.
-
-Chunks are shipped to worker processes only when that pays: on a
-single-core host, or when the estimated per-chunk work is too small to
-amortize pool spin-up, the runner degrades to in-process execution and
-records the decision in :attr:`SimSweepResult.execution`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from operator import itemgetter
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,16 +36,11 @@ from ..sim.stats import SimReport
 from ..workload.arrivals import InterArrival
 from ..workload.generator import renewal_trace
 from ..sim.simulator import DPMSimulator
-from .checkpoint import run_chunks_checkpointed, spec_hash
+from .checkpoint import spec_hash
+from .chunked import ChunkedSweep, Reference, cell_reports, split_chunks
 from .eventsim import policy_batch_mode, simulate_traces_batch
-from .executor import get_executor, resolve_n_jobs
 from .telemetry import TELEMETRY
-from .verify import (
-    InvariantViolation,
-    check_sim_report,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
-)
+from .verify import check_sim_report
 
 #: rough wall seconds to simulate one request, by engine family
 #: (reference-container numbers from BENCH_sim.json: the busy-period /
@@ -160,8 +152,8 @@ class SimSweepResult:
 
     spec: SimSweepSpec
     cells: List[SimCellResult] = field(default_factory=list)
-    #: how the runner executed the grid: requested vs effective job
-    #: count, the degrade decision, and the per-chunk work estimate
+    #: how the runner executed the grid (see
+    #: :class:`~repro.runtime.chunked.ChunkedSweep`)
     execution: Dict[str, Any] = field(default_factory=dict)
 
     def cell(self, device: str, trace: str, policy: str) -> SimCellResult:
@@ -243,66 +235,11 @@ def reference_sim_chunk(
     ]
 
 
-class SimSweepRunner:
-    """Chunked executor fan-out over the event-sim cell grid.
-
-    Parameters
-    ----------
-    chunk_size:
-        Trace replications per work unit; smaller chunks expose more
-        parallelism, larger ones amortize per-unit overhead.
-    n_jobs:
-        Worker processes to shard (cell, chunk) units across (1 = serial).
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed chunks are recorded as
-        they finish and skipped on the next run with the same spec and
-        chunk size — resumed results are bit-identical to an
-        uninterrupted run.
-    verify_fraction:
-        Fraction of work units to shadow-verify: each sampled chunk is
-        re-run per-seed on the scalar :class:`~repro.sim.DPMSimulator`
-        reference and compared field-for-field (rel <= 1e-9).  The
-        sample is a deterministic function of the spec, so resumed and
-        fresh runs verify the same cells.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`; the sample
-        and outcome land in the result's ``execution["verification"]``.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
-    """
-
-    def __init__(self, chunk_size: int = 8, n_jobs: int = 1,
-                 timeout: Optional[float] = None, max_retries: int = 0,
-                 retry_backoff: float = 0.5,
-                 checkpoint: Optional[str] = None,
-                 verify_fraction: float = 0.0,
-                 diagnostics_dir: Optional[str] = None) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.chunk_size = int(chunk_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+class SimSweepRunner(ChunkedSweep):
+    """Chunked executor fan-out over the event-sim cell grid:
+    ``chunk_size`` (default 8) trace replications per (cell,
+    seed-chunk) unit, the knobs of
+    :class:`~repro.runtime.chunked.ChunkedSweep`."""
 
     def estimate_chunk_seconds(self, spec: SimSweepSpec) -> float:
         """Mean estimated wall seconds of one (cell, seed-chunk) unit.
@@ -324,97 +261,36 @@ class SimSweepRunner:
 
     def run(self, spec: SimSweepSpec) -> SimSweepResult:
         """Run the full grid; deterministic for any (chunk_size, n_jobs)."""
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="sim",
-                                n_traces=spec.n_traces,
-                                chunk_size=self.chunk_size,
-                                n_jobs=self.n_jobs):
-                result = self._run(spec)
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run(self, spec: SimSweepSpec) -> SimSweepResult:
-        seeds = spec.seeds()
-        chunks = [
-            seeds[i:i + self.chunk_size]
-            for i in range(0, len(seeds), self.chunk_size)
+        chunks = split_chunks(spec.seeds(), self.chunk_size)
+        cells = list(product(spec.devices, spec.traces, spec.policies))
+        tasks = [
+            (device, policy_spec, trace_spec, spec.service_time, chunk)
+            for device, trace_spec, policy_spec in cells for chunk in chunks
         ]
-        cell_keys: List[Tuple[str, str, str]] = []
-        tasks = []
-        for device in spec.devices:
-            for trace_spec in spec.traces:
-                for policy_spec in spec.policies:
-                    cell_keys.append((device, trace_spec.name, policy_spec.label))
-                    for chunk in chunks:
-                        tasks.append(
-                            (device, policy_spec, trace_spec,
-                             spec.service_time, chunk)
-                        )
-        est = self.estimate_chunk_seconds(spec)
-        n_jobs, decision = resolve_n_jobs(self.n_jobs, est, len(tasks))
-        spec_key = spec_hash(spec, self.chunk_size)
-        chunk_reports, resilience = run_chunks_checkpointed(
-            get_executor(n_jobs), run_sim_chunk, tasks,
-            spec_key=spec_key,
-            checkpoint=self.checkpoint, timeout=self.timeout,
-            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
-        )
-        self._check_invariants(spec, spec_key, tasks, chunk_reports)
-        verification = None
-        if self.verify_fraction > 0.0:
-            verification = shadow_verify_chunks(
-                tasks, chunk_reports, self.verify_fraction, spec_key,
-                reference_sim_chunk, "DPMSimulator scalar event loop",
-                seeds_of=lambda task: task[4],
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
-            )
-
-        result = SimSweepResult(spec=spec, execution={
-            "n_jobs_requested": self.n_jobs,
-            "n_jobs_effective": n_jobs,
-            "decision": decision,
-            "estimated_chunk_seconds": est,
-            **({"verification": verification} if verification else {}),
-            **resilience,
-        })
-        per_cell = len(chunks)
-        for c, (device, trace_name, policy_label) in enumerate(cell_keys):
-            reports: List[SimReport] = []
-            for chunk_out in chunk_reports[c * per_cell:(c + 1) * per_cell]:
-                reports.extend(chunk_out)
-            result.cells.append(
-                SimCellResult(
-                    device=device, trace=trace_name, policy=policy_label,
-                    reports=reports,
-                )
-            )
-        return result
-
-    def _check_invariants(self, spec: SimSweepSpec, spec_key: str,
-                          tasks, chunk_reports) -> None:
-        """Always-on invariant pass over every collected report: the
-        conservation laws hold for any correct engine, so the check
-        costs a dict walk per report, not a re-simulation."""
         devices = {name: get_preset(name) for name in spec.devices}
-        try:
-            for t, (task, reports) in enumerate(zip(tasks, chunk_reports)):
-                device_name, policy_spec, trace_spec, _, chunk = task
-                for seed, report in zip(chunk, reports):
-                    check_sim_report(
-                        report, device=devices[device_name],
-                        spec_key=spec_key, seed=seed,
-                        context={"chunk": t, "device": device_name,
-                                 "trace": trace_spec.name,
-                                 "policy": policy_spec.label},
-                    )
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed,
-                    chunk_id=exc.context.get("chunk"), details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant,
-                                      "context": exc.context},
-                )
-            raise
+
+        def check(report, task, seed, spec_key, context):
+            device_name, policy_spec, trace_spec, _, _ = task
+            check_sim_report(
+                report, device=devices[device_name], spec_key=spec_key,
+                seed=seed,
+                context={**context, "device": device_name,
+                         "trace": trace_spec.name,
+                         "policy": policy_spec.label},
+            )
+
+        def assemble(reports, execution):
+            return SimSweepResult(spec=spec, execution=execution, cells=[
+                SimCellResult(device=device, trace=trace_spec.name,
+                              policy=policy_spec.label, reports=cell)
+                for (device, trace_spec, policy_spec), cell
+                in zip(cells, cell_reports(reports, len(chunks)))
+            ])
+
+        return self._sweep(
+            "sim", spec, tasks, run_sim_chunk, check, assemble,
+            seeds_of=itemgetter(4), spec_key=spec_hash(spec, self.chunk_size),
+            reference=Reference(reference_sim_chunk,
+                                "DPMSimulator scalar event loop"),
+            est_chunk_seconds=self.estimate_chunk_seconds(spec),
+        )

@@ -13,9 +13,9 @@ summarize".  :class:`SweepRunner` owns that loop once:
 - controllers that cannot be batched (the model-based adaptive pipeline)
   fall back to a per-seed scalar loop behind the same interface;
 - seed chunks are embarrassingly parallel, so ``n_jobs > 1`` ships
-  ``(spec, chunk_seeds)`` work units across a process pool
-  (:mod:`repro.runtime.executor`) and reassembles results in seed
-  order — per-seed results are bit-identical for every
+  ``(spec, chunk_seeds)`` work units across a process pool through the
+  shared sweep driver (:mod:`repro.runtime.chunked`) and reassembles
+  results in seed order — per-seed results are bit-identical for every
   ``(batch_size, n_jobs)`` combination;
 - per-seed summaries aggregate to mean +- bootstrap CI via the existing
   :mod:`repro.analysis.bootstrap`.
@@ -28,6 +28,8 @@ dataclasses (``RolloutSpec.from_env_config``) and calls down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -41,20 +43,10 @@ from ..mdp import DeterministicPolicy
 from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
-from .checkpoint import run_chunks_checkpointed, spec_hash
-from .executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    get_executor,
-    is_picklable,
-)
+from .checkpoint import spec_hash
+from .chunked import ChunkedSweep, Reference, split_chunks
 from .telemetry import TELEMETRY
-from .verify import (
-    InvariantViolation,
-    check_seed_run,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
-)
+from .verify import check_seed_run
 
 
 @dataclass(frozen=True)
@@ -148,9 +140,8 @@ class SweepResult:
 
     spec: RolloutSpec
     runs: List[SeedRun] = field(default_factory=list)
-    #: resilience/checkpoint record of how the runner executed the sweep
-    #: (resumed/computed chunk counts, retry/timeout/degrade events) —
-    #: empty for plain uncheckpointed runs with no incidents
+    #: how the runner executed the sweep (see
+    #: :class:`~repro.runtime.chunked.ChunkedSweep`); empty per grid cell
     execution: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -294,9 +285,9 @@ def _run_chunk_body(spec: RolloutSpec, chunk_seeds: Sequence[int],
     return runs
 
 
-def _reference_learning_seed(spec: RolloutSpec, seed: int) -> SeedRun:
-    """True scalar twin of one learning replica: a scalar
-    :class:`~repro.core.QDPM` over a scalar
+def _scalar_qdpm(spec: RolloutSpec, seed: int):
+    """True scalar twin of one learning replica, past its warmup: a
+    scalar :class:`~repro.core.QDPM` over a scalar
     :class:`~repro.env.SlottedDPMEnv`, consuming the batched engine's
     exact per-slot RNG layout via ``FixedDrawEpsilonGreedy`` — the
     bit-for-bit parity recipe the test suite pins (env seed
@@ -339,14 +330,7 @@ def _reference_learning_seed(spec: RolloutSpec, seed: int) -> SeedRun:
     if warmup:
         controller.run(spec.warmup_slots, record_every=spec.warmup_slots)
         controller.env = env
-    history = controller.run(spec.n_slots, record_every=spec.record_every)
-    return SeedRun(
-        seed=seed,
-        history=history,
-        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
-        saving_ratio=float(env.energy_saving_ratio()),
-        totals=env.totals,
-    )
+    return controller
 
 
 def reference_seed_runs(spec: RolloutSpec,
@@ -354,103 +338,50 @@ def reference_seed_runs(spec: RolloutSpec,
     """Reference path for one :func:`run_chunk` work unit.
 
     Learning chunks re-run each seed on the true scalar stack
-    (:func:`_reference_learning_seed` — the bit-exact parity recipe);
+    (:func:`_scalar_qdpm` — the bit-exact parity recipe);
     fixed-policy chunks, which have no scalar twin, re-run each seed on
     the batched engine at ``B = 1``, which verifies the
     batch-composition-invariance contract instead.  Either way the
     comparison against the sweep's results is exact (``rtol = 0``).
     """
     if spec.policy is None:
-        return [_reference_learning_seed(spec, s) for s in chunk_seeds]
+        return _run_scalar_seeds(spec, chunk_seeds,
+                                 partial(_scalar_qdpm, spec))
+    return [run for seed in chunk_seeds for run in run_chunk(spec, [seed])]
+
+
+def _run_scalar_seeds(spec: RolloutSpec, chunk_seeds: Sequence[int],
+                      controller_factory) -> List[SeedRun]:
+    """Scalar-fallback rollouts of ``chunk_seeds`` (module-level, so the
+    unit can ship to a worker when the factory itself is picklable)."""
     runs: List[SeedRun] = []
     for seed in chunk_seeds:
-        runs.extend(run_chunk(spec, [seed]))
+        controller = controller_factory(seed)
+        history = controller.run(spec.n_slots, record_every=spec.record_every)
+        env = controller.env
+        runs.append(SeedRun(
+            seed=seed,
+            history=history,
+            mean_reward=_horizon_mean(history, spec.n_slots,
+                                      spec.record_every),
+            saving_ratio=float(env.energy_saving_ratio()),
+            totals=env.totals,
+        ))
     return runs
 
 
-def _run_scalar_seed(spec: RolloutSpec, seed: int,
-                     controller_factory) -> SeedRun:
-    """One scalar-fallback rollout (module-level, so it can ship to a
-    worker when the factory itself is picklable)."""
-    controller = controller_factory(seed)
-    history = controller.run(spec.n_slots, record_every=spec.record_every)
-    env = controller.env
-    return SeedRun(
-        seed=seed,
-        history=history,
-        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
-        saving_ratio=float(env.energy_saving_ratio()),
-        totals=env.totals,
-    )
+class SweepRunner(ChunkedSweep):
+    """Chunked multi-seed executor over the batched engine:
+    ``batch_size`` replicas per lock-step batch, the other knobs as on
+    :class:`~repro.runtime.chunked.ChunkedSweep`.  Shadow verification
+    is bit-for-bit (:func:`reference_seed_runs`) and needs
+    ``rng_mode="replica"``; shared-RNG specs record it as skipped."""
 
-
-class SweepRunner:
-    """Chunked multi-seed executor over the batched engine.
-
-    Parameters
-    ----------
-    batch_size:
-        Maximum replicas per lock-step batch; seed lists longer than
-        this are processed in consecutive chunks.
-    n_jobs:
-        Worker processes to shard chunks across (default 1 = in-process).
-        Chunks are pure functions of their seeds, so per-seed results
-        are bit-identical for every ``(batch_size, n_jobs)`` combination.
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed seed chunks are
-        recorded as they finish and skipped on the next run with the
-        same spec and batch size — resumed results are bit-identical to
-        an uninterrupted run.  Incompatible with the in-process snapshot
-        hooks of :meth:`run_many` (resumed chunks never execute, so the
-        hooks could not fire).
-    verify_fraction:
-        Fraction of seed chunks to shadow-verify: sampled learning
-        chunks re-run per seed on the true scalar stack (scalar
-        ``QDPM`` with ``FixedDrawEpsilonGreedy``) and must match
-        **bit-for-bit**; fixed-policy chunks re-run at ``B = 1``
-        (batch-composition invariance).  Requires
-        ``rng_mode="replica"`` — shared-RNG specs record the
-        verification as skipped instead.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
-    """
+    batch_size = property(lambda self: self.chunk_size)
 
     def __init__(self, batch_size: int = 32, n_jobs: int = 1,
-                 timeout: Optional[float] = None, max_retries: int = 0,
-                 retry_backoff: float = 0.5,
-                 checkpoint: Optional[str] = None,
-                 verify_fraction: float = 0.0,
-                 diagnostics_dir: Optional[str] = None) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.batch_size = int(batch_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+                 **options: Any) -> None:
+        super().__init__(batch_size, n_jobs, **options)
 
     def run_many(
         self,
@@ -476,182 +407,55 @@ class SweepRunner:
         must return an object with ``.run(n_slots, record_every)`` ->
         ``RunHistory`` and an ``.env`` exposing ``totals`` /
         ``energy_saving_ratio()`` (e.g. the model-based pipeline).
-        Factories that pickle are sharded per seed; closures degrade to
-        the in-process loop.
+        Factories that pickle are sharded per seed; closures run
+        in-process.  A ``checkpoint`` composes with neither hooks
+        (resumed chunks never execute) nor factories (the journal key
+        cannot identify a callable).
         """
         seeds = [int(s) for s in seeds]
-        if not seeds:
-            raise ValueError("need at least one seed")
-        chunk = batch_size if batch_size is not None else self.batch_size
-        if chunk < 1:
-            raise ValueError(f"batch_size must be >= 1, got {chunk}")
-        jobs = n_jobs if n_jobs is not None else self.n_jobs
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="slotted",
-                                n_seeds=len(seeds), batch_size=chunk,
-                                n_jobs=jobs):
-                result = self._run_many(
-                    spec, seeds, chunk, jobs,
-                    on_record=on_record, on_chunk_done=on_chunk_done,
-                    controller_factory=controller_factory,
-                )
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run_many(
-        self,
-        spec: RolloutSpec,
-        seeds: List[int],
-        chunk: int,
-        n_jobs: int,
-        on_record=None,
-        on_chunk_done=None,
-        controller_factory=None,
-    ) -> SweepResult:
-        executor = get_executor(n_jobs)
-        if controller_factory is not None:
-            return self._run_scalar(spec, seeds, controller_factory, executor)
-        chunks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-        result = SweepResult(spec=spec)
-        if self.checkpoint is not None:
-            if on_record is not None or on_chunk_done is not None:
-                raise ValueError(
-                    "checkpointing does not compose with in-process "
-                    "snapshot hooks: resumed chunks load from the journal "
-                    "without executing, so the hooks could not fire"
-                )
-            runs_per_chunk, execution = run_chunks_checkpointed(
-                executor, run_chunk, [(spec, c) for c in chunks],
-                spec_key=spec_hash(spec, chunk),
-                checkpoint=self.checkpoint, timeout=self.timeout,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
-            )
-            result.execution.update(execution)
-            for chunk_runs in runs_per_chunk:
-                result.runs.extend(chunk_runs)
-            return self._finalize(spec, chunk, chunks, result)
-        reporter = TELEMETRY.progress_reporter(
-            total=len(chunks), workers=min(executor.n_jobs, len(chunks)),
-            label="sweep",
-        )
-        if isinstance(executor, SerialExecutor) or len(chunks) == 1:
-            for chunk_seeds in chunks:
-                result.runs.extend(
-                    run_chunk(spec, chunk_seeds, on_record, on_chunk_done)
-                )
-                TELEMETRY.inc("executor.chunks_completed")
-                if reporter is not None:
-                    reporter.update()
-            if reporter is not None:
-                reporter.finish()
-            return self._finalize(spec, chunk, chunks, result)
-        # Sharded path: ship the tail chunks to the pool first, then run
-        # the lead chunk in the parent (with the in-process hooks)
-        # overlapped with the workers.  The parent counts as one of the
-        # n_jobs lanes, so the pool gets n_jobs - 1 workers and total
-        # concurrency honors the knob.  pool order == submission order,
-        # so runs come back in seed order.  With a single tail chunk or
-        # n_jobs = 2, submit_all short-circuits to eager in-process
-        # execution (no overlap): the quick-snapshot bench showed pool
-        # spin-up dominating exactly those shapes, so they degrade to
-        # the serial path's cost instead of paying for a pool.
-        on_result = None
-        if reporter is not None:
-            on_result = lambda j, r: reporter.update()
-        pending = MultiprocessExecutor(executor.n_jobs - 1).submit_all(
-            run_chunk, [(spec, c) for c in chunks[1:]],
-            timeout=self.timeout, max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff, on_result=on_result,
-        )
-        try:
-            result.runs.extend(
-                run_chunk(spec, chunks[0], on_record, on_chunk_done)
-            )
-            TELEMETRY.inc("executor.chunks_completed")
-            if reporter is not None:
-                reporter.update()
-        except BaseException:
-            # lead chunk (or a user hook) failed: don't leak the pool
-            pending.cancel()
-            raise
-        for chunk_runs in pending.get():
-            result.runs.extend(chunk_runs)
-        if reporter is not None:
-            reporter.finish()
-        if pending.events:
-            result.execution["resilience_events"] = list(pending.events)
-        return self._finalize(spec, chunk, chunks, result)
-
-    # ------------------------------------------------------------------ #
-    # runtime verification
-    # ------------------------------------------------------------------ #
-
-    def _finalize(self, spec: RolloutSpec, chunk_size: int,
-                  chunks: List[List[int]],
-                  result: SweepResult) -> SweepResult:
-        """Always-on invariant checks plus sampled shadow execution."""
-        spec_key = spec_hash(spec, chunk_size)
-        try:
-            for run in result.runs:
-                check_seed_run(run, spec=spec, spec_key=spec_key)
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed, details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant},
-                )
-            raise
-        if self.verify_fraction == 0.0:
-            return result
-        reference = (
-            "scalar QDPM (FixedDrawEpsilonGreedy)" if spec.policy is None
-            else "batched engine at B=1"
-        )
-        if spec.rng_mode != "replica":
-            # shared-RNG replicas draw from one stream in batch order, so
-            # no per-seed scalar twin exists; record the skip rather than
-            # report a false divergence
-            result.execution["verification"] = {
-                "fraction": self.verify_fraction,
-                "n_chunks": len(chunks),
-                "verified_chunks": [], "n_verified": 0,
-                "reference": reference, "n_divergences": 0,
-                "divergences": [],
-                "skipped": f"rng_mode={spec.rng_mode!r} has no per-seed "
-                           f"scalar twin; use rng_mode='replica' to verify",
-            }
-            return result
-        chunk_results: List[List[SeedRun]] = []
-        offset = 0
-        for c in chunks:
-            chunk_results.append(result.runs[offset:offset + len(c)])
-            offset += len(c)
-        result.execution["verification"] = shadow_verify_chunks(
-            [(spec, c) for c in chunks], chunk_results,
-            self.verify_fraction, spec_key, reference_seed_runs, reference,
-            seeds_of=lambda task: task[1],
-            rtol=0.0, atol=0.0,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
-        )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # scalar fallback
-    # ------------------------------------------------------------------ #
-
-    def _run_scalar(self, spec: RolloutSpec, seeds: List[int],
-                    controller_factory, executor) -> SweepResult:
-        result = SweepResult(spec=spec)
-        tasks = [(spec, seed, controller_factory) for seed in seeds]
-        if not isinstance(executor, SerialExecutor) and is_picklable(
-            controller_factory
+        chunk = self.chunk_size if batch_size is None else batch_size
+        chunks = split_chunks(seeds, chunk)
+        if self.checkpoint is not None and any(
+            x is not None for x in (on_record, on_chunk_done,
+                                    controller_factory)
         ):
-            result.runs.extend(executor.map(_run_scalar_seed, tasks))
+            raise ValueError(
+                "checkpointing composes with neither in-process snapshot "
+                "hooks (resumed chunks never execute) nor a controller "
+                "factory (a callable has no journal key)"
+            )
+        if controller_factory is not None:
+            tasks = [(spec, [seed], controller_factory) for seed in seeds]
+            chunk_fn, reference, lead = _run_scalar_seeds, None, None
         else:
-            # closures (and other unpicklable factories) keep the
-            # in-process loop — same bits, no sharding
-            result.runs.extend(_run_scalar_seed(*t) for t in tasks)
-        return result
+            tasks, chunk_fn = [(spec, c) for c in chunks], run_chunk
+            reference = Reference(
+                reference_seed_runs,
+                "scalar QDPM (FixedDrawEpsilonGreedy)" if spec.policy is None
+                else "batched engine at B=1",
+                rtol=0.0, atol=0.0,
+                # shared-RNG replicas draw from one stream in batch order:
+                # no per-seed scalar twin exists to verify against
+                skipped=None if spec.rng_mode == "replica" else (
+                    f"rng_mode={spec.rng_mode!r} has no per-seed scalar "
+                    f"twin; use rng_mode='replica' to verify"
+                ),
+            )
+            lead = None if self.checkpoint is not None else partial(
+                run_chunk, on_record=on_record, on_chunk_done=on_chunk_done
+            )
+        return self._sweep(
+            "slotted", spec, tasks, chunk_fn, check_task_run,
+            lambda reports, execution: SweepResult(
+                spec=spec, runs=[run for runs in reports for run in runs],
+                execution=execution,
+            ),
+            seeds_of=itemgetter(1), spec_key=spec_hash(spec, chunk),
+            reference=reference, n_jobs=n_jobs, lead=lead,
+        )
+
+
+def check_task_run(run: SeedRun, task, seed: int, spec_key: str,
+               context: Dict[str, Any]) -> None:
+    """The invariant pass of a ``(spec, chunk_seeds, ...)`` task's run."""
+    check_seed_run(run, spec=task[0], spec_key=spec_key, context=context)

@@ -712,15 +712,27 @@ class TestSweepIntegration:
             overload=overload,
         )
 
-    def test_sweep_verified_with_metrics_and_columns(self):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_sweep_verified_with_metrics_and_columns(self, n_jobs,
+                                                     monkeypatch):
         spec = self._spec()
         assert spec.uses_overload
+        # make the pool pay for itself, so n_jobs=2 really ships chunks
+        monkeypatch.setattr(FleetSweepRunner, "estimate_chunk_seconds",
+                            lambda self, spec: 10.0)
         result = FleetSweepRunner(
-            chunk_size=2, verify_fraction=1.0,
+            chunk_size=2, n_jobs=n_jobs, verify_fraction=1.0,
         ).run(spec)
         counters = result.execution["metrics"]["counters"]
-        assert "fleet.requests_shed" in counters
-        assert "breaker.trips" in counters
+        reports = [r for cell in result.cells for r in cell.reports]
+        for counter, field in [
+            ("fleet.requests", "n_requests"),
+            ("fleet.requests_dropped", "n_dropped"),
+            ("fleet.requests_retried", "n_retries"),
+            ("fleet.requests_shed", "n_shed"),
+            ("breaker.trips", "n_breaker_trips"),
+        ]:
+            assert counters[counter] == sum(getattr(r, field) for r in reports)
         block = result.execution["verification"]
         assert block["n_divergences"] == 0
         table = result.render()

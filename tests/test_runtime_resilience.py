@@ -483,3 +483,14 @@ class TestSweepRunnerCheckpointResume:
             runner.run_many(
                 self._spec(), [0, 1], on_record=lambda *a: None
             )
+
+    def test_checkpoint_rejects_controller_factory(self, tmp_path):
+        """A factory's runs would journal under the batched arm's spec
+        key (a callable has no stable identity), so the combination is
+        refused instead of silently resuming the wrong controller."""
+        runner = SweepRunner(batch_size=2, checkpoint=str(tmp_path / "ck"))
+        with pytest.raises(ValueError, match="controller factory"):
+            runner.run_many(
+                self._spec(), [0, 1], controller_factory=lambda seed: None
+            )
+        assert not (tmp_path / "ck").exists()
