@@ -17,9 +17,12 @@ Layering mirrors the rest of the repo: every router is vectorized and
 pinned bit-identical to its scalar reference loop — stateless routers
 via closed-form ``route_batch``, queue-aware routers via the epoch-
 advance ``route_step_batch`` (dense per-device backlog arrays advanced
-one arrival per round) — and the sweep flattens each cell's
-(seed x device) sub-traces into a single lock-step kernel call
-(:func:`run_fleet_batch`).
+one arrival per round).  Two fleet engines sit on top: ``"auto"``
+(:func:`run_fleet_batch`, which the sweep runs per seed chunk) routes
+each trace once, runs stateful batchable policies over every
+(seed x device) sub-trace in one lock-step kernel call and simulates
+stateless policies per sub-trace on the busy-period kernel; ``"scalar"``
+is the reference dispatcher every fast path is pinned against.
 """
 
 from .dispatch import (

@@ -6,25 +6,20 @@ stream across N device replicas, evaluate every sub-trace on the
 single-device engine, and fold the per-device reports into a
 :class:`~repro.fleet.report.FleetReport`.
 
-Three engines, mirroring the repo's batched/scalar split:
+Two engines, mirroring the repo's batched/scalar split:
 
-- ``engine="auto"`` — the per-trace fast path.  Routers assign with
-  their vectorized paths (``route_batch`` for stateless routers,
-  ``route_step_batch`` for the queue-aware ones); the per-device
-  sub-traces then ride
-  :func:`~repro.runtime.eventsim.simulate_traces_batch` — the
-  vectorized busy-period kernel per sub-trace for stateless policies,
-  the lock-step cross-replication engine over all N devices at once for
-  stateful batchable policies (adaptive, predictive), and the scalar
-  loop for everything else.
-- ``engine="flat"`` — the production sweep path: all sub-traces of the
-  fleet run (and, via :func:`run_fleet_batch`, of *every seed of a
-  sweep cell*) are flattened into one padded
-  :func:`~repro.runtime.eventsim.run_step_batched` invocation, so a
-  whole cell costs one kernel call instead of N x R per-trace runs.
+- ``engine="auto"`` — the fast path, :func:`run_fleet_batch` on one
+  trace.  Routers assign with their vectorized paths (``route_batch``
+  for stateless routers, ``route_step_batch`` for the queue-aware
+  ones).  Stateful batchable policies (adaptive, predictive) then run
+  every sub-trace of the cell — all devices of every seed — in one
+  lock-step :func:`~repro.runtime.eventsim.run_step_batched` call;
+  stateless policies run each sub-trace on the per-trace busy-period
+  kernel (:func:`~repro.runtime.eventsim.simulate_trace`), and policies
+  with neither batch hook on the scalar event loop it falls back to.
 - ``engine="scalar"`` — the reference dispatcher: the router's scalar
   assignment loop plus the scalar :class:`~repro.sim.DPMSimulator` event
-  loop per device.  tests/test_fleet_sweep.py pins the fast engines
+  loop per device.  tests/test_fleet_sweep.py pins the fast engine
   against it field-for-field (rel tol <= 1e-9) on the fleet aggregate.
 """
 
@@ -33,7 +28,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
-from ..runtime.eventsim import run_step_batched, simulate_traces_batch
+from ..runtime.eventsim import run_step_batched, simulate_trace
 from ..runtime.telemetry import TELEMETRY
 from ..sim.policy_api import EventPolicy
 from ..sim.simulator import DPMSimulator
@@ -43,7 +38,7 @@ from .dispatch import Dispatcher, OverloadConfig, Router
 from .report import FleetReport, build_fleet_report
 
 #: engines accepted by :func:`run_fleet`
-ENGINES = ("auto", "flat", "scalar")
+ENGINES = ("auto", "scalar")
 
 
 def _route(
@@ -108,7 +103,8 @@ def run_fleet(
     Each replica runs ``policy`` independently (the policy object is
     reused sequentially; every engine resets it per run, identical to
     how sweep cells share policy instances).  Deterministic given
-    ``(trace, route_seed)`` for either engine.
+    ``(trace, route_seed)`` for either engine; ``"auto"`` is
+    :func:`run_fleet_batch` on the single trace.
 
     ``faults`` injects device failures: a
     :class:`~repro.workload.FaultSchedule` or a
@@ -118,7 +114,7 @@ def run_fleet(
     single fault configuration: the failover shape plus circuit
     breakers, a fleet-wide retry budget and deadline shedding.  With
     either given, routing goes through the fault-aware engines — the
-    vectorized epoch-advance path for ``auto``/``flat``, the scalar
+    vectorized epoch-advance path for ``auto``, the scalar
     reference loop for ``scalar``, pinned bit-identical — under
     ``overload`` (default ``OverloadConfig()``: plain failover), with
     brownout intervals inflating booked demands.  The report then
@@ -133,7 +129,7 @@ def run_fleet(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "flat":
+    if engine == "auto":
         return run_fleet_batch(
             device, policy, [trace], router, n_devices,
             service_time=service_time, oracle=oracle,
@@ -150,21 +146,15 @@ def run_fleet(
         sub_traces, fault_kwargs = _route(
             dispatcher, trace, faults,
             route_seed if fault_seed is None else int(fault_seed),
-            overload, vectorized=engine == "auto",
+            overload, vectorized=False,
         )
     with TELEMETRY.span("kernel", cat="fleet", engine=engine,
                         n_traces=len(sub_traces)):
-        if engine == "auto":
-            reports = simulate_traces_batch(
-                device, policy, sub_traces,
-                service_time=service_time, oracle=oracle,
-            )
-        else:
-            reports = [
-                DPMSimulator(device, policy,
-                             service_time=service_time, oracle=oracle).run(sub)
-                for sub in sub_traces
-            ]
+        reports = [
+            DPMSimulator(device, policy,
+                         service_time=service_time, oracle=oracle).run(sub)
+            for sub in sub_traces
+        ]
     with TELEMETRY.span("report", cat="fleet", n_devices=n_devices):
         return build_fleet_report(
             router=dispatcher.router.name,
@@ -190,29 +180,31 @@ def run_fleet_batch(
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
-    """R seeded fleet runs of one cell as a single flattened kernel call.
+    """R seeded fleet runs of one cell: route each trace once, then
+    simulate every per-device sub-trace.
 
-    The whole-cell engine behind ``engine="flat"`` and the fleet sweep:
-    every trace is dispatched with the router's vectorized path, and the
-    R x N per-device sub-traces are flattened into *one*
-    :func:`~repro.runtime.eventsim.run_step_batched` invocation
-    (``allow_stateless=True`` lets gap-mode policies ride the lock-step
-    rounds; step-mode policies use their own hooks).  Each sub-trace's
-    report is a pure function of its own trace, so per-seed fleet
-    reports are independent of which seeds share the batch — the
-    chunking-invariance guarantee the sweep runner relies on.
+    The fast engine behind ``engine="auto"`` and the fleet sweep.  Every
+    trace is dispatched once with the router's vectorized path.  For a
+    stateful batchable policy (step hooks) the R x N sub-traces are
+    flattened into *one* lock-step
+    :func:`~repro.runtime.eventsim.run_step_batched` call; when that
+    kernel declines (a stateless policy, a policy with neither batch
+    hook, a costly wait-state park) each already-routed sub-trace runs
+    on :func:`~repro.runtime.eventsim.simulate_trace` — the per-trace
+    busy-period kernel, or the scalar event loop it falls back to.
+    Each sub-trace's report is a pure function of its own trace, so
+    per-seed fleet reports are independent of which seeds share the
+    batch — the chunking-invariance guarantee the sweep runner relies
+    on.
 
-    Policies outside both batch families fall back to per-seed
-    :func:`run_fleet` on the ``auto`` engine (same reports, no
-    flattening to be had).  ``route_seeds`` defaults to 0 for every
-    trace, matching :func:`run_fleet`'s default; with ``faults`` given,
-    ``fault_seeds`` (defaulting to the route seeds) realize a
+    ``route_seeds`` defaults to 0 for every trace, matching
+    :func:`run_fleet`'s default; with ``faults`` given, ``fault_seeds``
+    (defaulting to the route seeds) realize a
     :class:`~repro.workload.FaultProcess` independently per trace, and
-    each flattened sub-trace carries its failover-delayed dispatch
-    instants — per-seed reports remain pure functions of their own
-    ``(trace, route_seed, fault_seed)``, preserving chunking-invariance.
-    ``faults`` and ``overload`` select the routing path exactly as in
-    :func:`run_fleet`.
+    each sub-trace carries its failover-delayed dispatch instants —
+    per-seed reports remain pure functions of their own
+    ``(trace, route_seed, fault_seed)``.  ``faults`` and ``overload``
+    select the routing path exactly as in :func:`run_fleet`.
     """
     traces = list(traces)
     if not traces:
@@ -236,7 +228,7 @@ def run_fleet_batch(
     router_name = None
     sub_traces: List[Trace] = []
     fault_kwargs: List[dict] = []
-    with TELEMETRY.span("route", cat="fleet", engine="flat",
+    with TELEMETRY.span("route", cat="fleet", engine="auto",
                         n_devices=n_devices, n_traces=len(traces)):
         for trace, seed, fseed in zip(traces, route_seeds, fault_seeds):
             dispatcher = Dispatcher(
@@ -247,22 +239,20 @@ def run_fleet_batch(
             subs, kwargs = _route(dispatcher, trace, faults, fseed, overload)
             sub_traces.extend(subs)
             fault_kwargs.append(kwargs)
-    with TELEMETRY.span("kernel", cat="fleet", engine="flat",
+    with TELEMETRY.span("kernel", cat="fleet", engine="auto",
                         n_traces=len(sub_traces)):
+        # simulate_traces_batch spelled out: perfbench's kernel probe
+        # rebinds this module's run_step_batched
         reports = run_step_batched(
             device, policy, sub_traces,
-            service_time=service_time, oracle=oracle, allow_stateless=True,
+            service_time=service_time, oracle=oracle,
         )
-    if reports is None:
-        return [
-            run_fleet(
-                device, policy, trace, router, n_devices,
-                service_time=service_time, oracle=oracle, route_seed=seed,
-                engine="auto", keep_latencies=keep_latencies,
-                faults=faults, fault_seed=fseed, overload=overload,
-            )
-            for trace, seed, fseed in zip(traces, route_seeds, fault_seeds)
-        ]
+        if reports is None:
+            reports = [
+                simulate_trace(device, policy, sub,
+                               service_time=service_time, oracle=oracle)
+                for sub in sub_traces
+            ]
     home_power = device.state(device.initial_state).power
     with TELEMETRY.span("report", cat="fleet", n_devices=n_devices,
                         n_reports=len(traces)):

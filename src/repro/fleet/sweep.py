@@ -336,10 +336,12 @@ def run_fleet_chunk(
 ) -> List[FleetReport]:
     """One (cell, seed-chunk) work unit — module-level and built from
     picklable values only, so the executor can ship it to a worker.
-    The chunk's (seed x device) sub-traces flatten into a single
-    :func:`~repro.fleet.evaluate.run_fleet_batch` kernel invocation;
-    each seed's fleet report is still a pure function of the arguments
-    (every sub-trace resolves independently inside the batch), so
+    :func:`~repro.fleet.evaluate.run_fleet_batch` routes each seed's
+    trace once, then simulates the chunk's (seed x device) sub-traces —
+    in one lock-step kernel call for stateful batchable policies, per
+    sub-trace on the busy-period kernel for stateless ones.  Each
+    seed's fleet report is still a pure function of the arguments
+    (every sub-trace resolves independently), so
     results are identical for every ``(chunk_size, n_jobs)``.  The
     retained per-device reports are stripped of their raw latency
     arrays (the merged-stream quantiles are already folded) so the
@@ -385,7 +387,8 @@ def reference_fleet_chunk(
     loop every vectorized fleet path is pinned against in the test
     suite, with the same per-seed route/fault stream derivation the
     fast chunk uses.  Shadow verification compares these
-    field-for-field against the flattened-kernel results.
+    field-for-field against the ``engine="auto"`` results of
+    :func:`run_fleet_chunk`.
     """
     device = get_preset(device_name)
     return [

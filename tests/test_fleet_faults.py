@@ -10,7 +10,7 @@ list-walking backlog + exact per-device interval queries) on every
 router, preset, failover policy, and fault schedule — including the
 degenerate ones (lock-step correlated failures, cold-start cohorts,
 whole-fleet outages); a no-fault schedule must reproduce plain routing
-choice for choice; and the fleet engines (`auto`/`flat` vs `scalar`)
+choice for choice; and the fleet engines (`auto` vs `scalar`)
 must agree on every report field under faults at rel <= 1e-9.
 """
 
@@ -44,7 +44,11 @@ from repro.workload import (
     renewal_trace,
 )
 
-from test_fleet_sweep import assert_fleet_reports_match
+from test_fleet_sweep import (
+    FAST_ENTRIES,
+    assert_fleet_reports_match,
+    run_fast,
+)
 
 PRESETS = ("mobile_hdd", "wlan")
 
@@ -378,20 +382,21 @@ class TestDispatchWithFaults:
 
 
 class TestFleetEnginesUnderFaults:
-    """run_fleet's auto/flat engines vs the scalar reference, with
-    faults injected: every FleetReport field at rel <= 1e-9 (assignments
-    and dispatch instants themselves are bit-identical upstream)."""
+    """The auto engine, alone or inside a multi-seed batch, vs the
+    scalar reference, with faults injected: every FleetReport field at
+    rel <= 1e-9 (assignments and dispatch instants themselves are
+    bit-identical upstream)."""
 
     POLICIES = [("always_on", AlwaysOn), ("greedy", GreedySleep),
                 ("timeout", FixedTimeout)]
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("entry", FAST_ENTRIES)
     @pytest.mark.parametrize("router_name", sorted(ROUTERS))
     @pytest.mark.parametrize(
         "policy_factory", [f for _, f in POLICIES],
         ids=[name for name, _ in POLICIES],
     )
-    def test_engines_pinned_under_faults(self, engine, router_name,
+    def test_engines_pinned_under_faults(self, entry, router_name,
                                          policy_factory, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         device = get_preset("mobile_hdd")
@@ -403,16 +408,15 @@ class TestFleetEnginesUnderFaults:
         ref = run_fleet(device, policy_factory(), trace,
                         make_router(router_name), 4, engine="scalar",
                         **kwargs)
-        fast = run_fleet(device, policy_factory(), trace,
-                         make_router(router_name), 4, engine=engine,
-                         **kwargs)
+        fast = run_fast(entry, device, policy_factory(), trace,
+                        make_router(router_name), 4, **kwargs)
         assert_fleet_reports_match(ref, fast)
         for field in ("availability", "n_retries", "n_dropped",
                       "failover_latency_inflation"):
             assert getattr(ref, field) == getattr(fast, field), field
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
-    def test_degenerate_blackout_pinned(self, engine, rng):
+    @pytest.mark.parametrize("entry", FAST_ENTRIES)
+    def test_degenerate_blackout_pinned(self, entry, rng):
         """Whole-fleet blackout mid-trace: drops occur, some devices may
         end up with empty sub-traces — engines must still agree."""
         trace = renewal_trace(Exponential(1.0), 120.0, rng)
@@ -424,13 +428,13 @@ class TestFleetEnginesUnderFaults:
                       )))
         ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
                         3, engine="scalar", **kwargs)
-        fast = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                         3, engine=engine, **kwargs)
+        fast = run_fast(entry, device, FixedTimeout(), trace,
+                        make_router("jsq"), 3, **kwargs)
         assert ref.n_dropped > 0
         assert_fleet_reports_match(ref, fast)
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
-    def test_every_request_dropped_pinned(self, engine):
+    @pytest.mark.parametrize("entry", FAST_ENTRIES)
+    def test_every_request_dropped_pinned(self, entry):
         """Whole fleet down for the whole window, zero retries: every
         request drops, every sub-trace is empty — both engines must
         still produce a coherent (all-zero traffic) report."""
@@ -443,9 +447,8 @@ class TestFleetEnginesUnderFaults:
         ref = run_fleet(device, FixedTimeout(), trace,
                         make_router("round_robin"), 2, engine="scalar",
                         **kwargs)
-        fast = run_fleet(device, FixedTimeout(), trace,
-                         make_router("round_robin"), 2, engine=engine,
-                         **kwargs)
+        fast = run_fast(entry, device, FixedTimeout(), trace,
+                        make_router("round_robin"), 2, **kwargs)
         for report in (ref, fast):
             assert report.n_dropped == len(trace)
             assert report.n_requests == 0
@@ -470,8 +473,8 @@ class TestFleetEnginesUnderFaults:
         assert fault_free.n_dropped == 0
 
     def test_batch_matches_per_seed_runs(self, rng):
-        """Chunking invariance under faults: a flattened batch of R
-        seeded runs equals R independent run_fleet calls."""
+        """Chunking invariance under faults: a batch of R seeded runs
+        equals R independent run_fleet calls."""
         traces = [renewal_trace(Exponential(0.8), 200.0,
                                 np.random.default_rng(s)) for s in (1, 2, 3)]
         device = get_preset("mobile_hdd")
@@ -486,7 +489,7 @@ class TestFleetEnginesUnderFaults:
             solo = run_fleet(
                 device, GreedySleep(), trace, make_router("power_aware"), 3,
                 service_time=0.4, route_seed=rs, faults=proc, fault_seed=fs,
-                engine="flat",
+                engine="auto",
             )
             assert_fleet_reports_match(solo, got)
             assert solo.n_retries == got.n_retries

@@ -52,7 +52,11 @@ from repro.workload import (
     renewal_trace,
 )
 
-from test_fleet_sweep import assert_fleet_reports_match
+from test_fleet_sweep import (
+    FAST_ENTRIES,
+    assert_fleet_reports_match,
+    run_fast,
+)
 
 PRESETS = ("mobile_hdd", "wlan")
 
@@ -619,17 +623,16 @@ class TestFleetEnginesUnderOverload:
     OVERLOAD_FIELDS = ("availability", "n_retries", "n_dropped", "n_shed",
                        "n_budget_shed", "n_breaker_trips", "n_offered")
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("entry", FAST_ENTRIES)
     @pytest.mark.parametrize("router_name", ("jsq", "round_robin", "random"))
-    def test_engines_pinned_under_overload(self, engine, router_name, rng):
+    def test_engines_pinned_under_overload(self, entry, router_name, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         device = get_preset("mobile_hdd")
         ref = run_fleet(device, FixedTimeout(), trace,
                         make_router(router_name), 4, engine="scalar",
                         **self.KWARGS)
-        fast = run_fleet(device, FixedTimeout(), trace,
-                         make_router(router_name), 4, engine=engine,
-                         **self.KWARGS)
+        fast = run_fast(entry, device, FixedTimeout(), trace,
+                        make_router(router_name), 4, **self.KWARGS)
         assert_fleet_reports_match(ref, fast)
         for field in self.OVERLOAD_FIELDS:
             assert getattr(ref, field) == getattr(fast, field), field
@@ -662,7 +665,7 @@ class TestFleetEnginesUnderOverload:
         ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
                         3, engine="scalar", **kwargs)
         fast = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                         3, engine="flat", **kwargs)
+                         3, engine="auto", **kwargs)
         assert_fleet_reports_match(ref, fast)
         # brownouts slow devices without killing them
         assert ref.availability == 1.0

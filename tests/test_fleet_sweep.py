@@ -30,7 +30,9 @@ from repro.experiments import (
     run_fleet_sweep,
 )
 from repro.fleet import (
+    ENGINES,
     ROUTERS,
+    Dispatcher,
     FailoverConfig,
     FleetSweepRunner,
     FleetSweepSpec,
@@ -48,7 +50,10 @@ from repro.fleet.sweep import (
 )
 from repro.runtime import PolicySpec, TraceSpec
 from repro.runtime.simsweep import estimate_request_seconds
-from repro.workload import Exponential, renewal_trace
+from repro.sim import DPMSimulator
+from repro.workload import Exponential, FaultProcess, Trace, renewal_trace
+
+from test_runtime_eventsim import PRESETS, assert_reports_match
 
 FLEET_FIELDS = (
     "n_devices", "duration", "total_energy", "mean_power",
@@ -80,24 +85,52 @@ POLICIES = [
     ("oracle", OracleShutdown, True),
 ]
 
+#: how the fast engine is entered: a lone ``run_fleet(engine="auto")``
+#: call, or the fleet sweep's ``run_fleet_batch`` with other seeds
+FAST_ENTRIES = ("single", "in_batch")
+
+
+def run_fast(entry, device, policy, trace, router, n_devices,
+             route_seed=0, fault_seed=None, **kwargs):
+    """The fast engine's report for ``trace``.
+
+    ``"single"`` is ``run_fleet(engine="auto")``.  ``"in_batch"`` puts
+    the trace between two other seeded traces in one ``run_fleet_batch``
+    cell, as the fleet sweep does: its sub-traces share the kernel call
+    with theirs and its report is sliced out of the middle of the batch.
+    """
+    if entry == "single":
+        return run_fleet(device, policy, trace, router, n_devices,
+                         route_seed=route_seed, fault_seed=fault_seed,
+                         engine="auto", **kwargs)
+    rng = np.random.default_rng(route_seed + 1_000)
+    before, after = (renewal_trace(Exponential(0.8), trace.duration, rng)
+                     for _ in range(2))
+    fseed = route_seed if fault_seed is None else fault_seed
+    return run_fleet_batch(
+        device, policy, [before, trace, after], router, n_devices,
+        route_seeds=[route_seed + 1, route_seed, route_seed + 2],
+        fault_seeds=[fseed + 1, fseed, fseed + 2], **kwargs,
+    )[1]
+
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("entry", FAST_ENTRIES)
     @pytest.mark.parametrize("router_name", sorted(ROUTERS))
     @pytest.mark.parametrize(
         "policy_factory,oracle", [(f, o) for _, f, o in POLICIES],
         ids=[name for name, _, _ in POLICIES],
     )
     def test_vectorized_matches_scalar_reference(
-        self, engine, router_name, policy_factory, oracle, rng
+        self, entry, router_name, policy_factory, oracle, rng
     ):
         trace = renewal_trace(Exponential(0.8), 800.0, rng)
         device = get_preset("mobile_hdd")
         kwargs = dict(service_time=0.4, oracle=oracle, route_seed=21)
         ref = run_fleet(device, policy_factory(), trace,
                         make_router(router_name), 5, engine="scalar", **kwargs)
-        fast = run_fleet(device, policy_factory(), trace,
-                         make_router(router_name), 5, engine=engine, **kwargs)
+        fast = run_fast(entry, device, policy_factory(), trace,
+                        make_router(router_name), 5, **kwargs)
         assert_fleet_reports_match(ref, fast)
 
     def test_stateful_policy_rides_the_fleet_too(self, rng):
@@ -134,47 +167,50 @@ class TestEngineEquivalence:
                              **kwargs)
             assert_fleet_reports_match(ref, fast)
 
-    def test_unknown_engine_rejected(self, rng):
+    @pytest.mark.parametrize("engine", ("warp", "flat"))
+    def test_unknown_engine_rejected(self, engine, rng):
+        assert ENGINES == ("auto", "scalar")
         trace = renewal_trace(Exponential(0.8), 100.0, rng)
         with pytest.raises(ValueError, match="engine"):
             run_fleet(get_preset("mobile_hdd"), AlwaysOn(), trace,
-                      make_router("round_robin"), 2, engine="warp")
+                      make_router("round_robin"), 2, engine=engine)
 
     @pytest.mark.parametrize("device_name", ("mobile_hdd", "wlan", "sa1100"))
     @pytest.mark.parametrize("router_name", ("jsq", "power_aware"))
-    def test_flat_engine_across_presets(self, device_name, router_name, rng):
-        """The acceptance pin for the flattened cell: queue-aware routing
-        plus the one-kernel-call fleet run tracks the scalar dispatcher
-        on every preset (rel <= 1e-9) — assignments themselves are
-        asserted bit-identical down in test_fleet_dispatch."""
+    def test_auto_engine_across_presets(self, device_name, router_name, rng):
+        """Queue-aware routing plus the per-trace kernel tracks the
+        scalar dispatcher on every preset (rel <= 1e-9) — assignments
+        themselves are asserted bit-identical down in
+        test_fleet_dispatch."""
         trace = renewal_trace(Exponential(1.2), 400.0, rng)
         device = get_preset(device_name)
         kwargs = dict(service_time=0.4, route_seed=3)
         ref = run_fleet(device, FixedTimeout(), trace,
                         make_router(router_name), 6, engine="scalar", **kwargs)
-        flat = run_fleet(device, FixedTimeout(), trace,
-                         make_router(router_name), 6, engine="flat", **kwargs)
-        assert_fleet_reports_match(ref, flat)
+        fast = run_fleet(device, FixedTimeout(), trace,
+                         make_router(router_name), 6, engine="auto", **kwargs)
+        assert_fleet_reports_match(ref, fast)
 
-    def test_flat_engine_stateful_policy(self, rng):
-        """Step-mode policies ride the flattened call on their own hooks."""
+    def test_auto_engine_stateful_policy_under_jsq(self, rng):
+        """Step-mode policies ride the lock-step call on their own hooks
+        over the skewed sub-traces of a queue-aware router."""
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         device = get_preset("mobile_hdd")
         ref = run_fleet(device, AdaptiveTimeout(initial_timeout=1.0), trace,
                         make_router("jsq"), 4, engine="scalar",
                         service_time=0.4)
-        flat = run_fleet(device, AdaptiveTimeout(initial_timeout=1.0), trace,
-                         make_router("jsq"), 4, engine="flat",
+        fast = run_fleet(device, AdaptiveTimeout(initial_timeout=1.0), trace,
+                         make_router("jsq"), 4, engine="auto",
                          service_time=0.4)
-        assert_fleet_reports_match(ref, flat)
+        assert_fleet_reports_match(ref, fast)
 
 
 class TestRunFleetBatch:
-    """The whole-cell flattening entry the sweep workers call."""
+    """The whole-cell entry the sweep workers call."""
 
     def test_batch_composition_never_matters(self, rng):
         """Per-seed reports are exact dataclass equals whether the seeds
-        share one flattened kernel call or run one by one — the property
+        share one batch call or run one by one — the property
         that keeps sweep results invariant to (chunk_size, n_jobs)."""
         device = get_preset("mobile_hdd")
         traces = [renewal_trace(Exponential(0.9), 300.0, rng)
@@ -209,8 +245,9 @@ class TestRunFleetBatch:
             assert_fleet_reports_match(ref, fast)
 
     def test_scalar_only_policy_falls_back(self, rng):
-        """Policies with neither batch hook cannot flatten; the batch
-        entry must return the same reports the auto engine produces."""
+        """Policies with neither batch hook skip the lock-step kernel;
+        the per-sub-trace fallback must still match the scalar
+        reference dispatcher."""
         from test_runtime_eventsim_batch import _StatefulScalarOnly
 
         device = get_preset("mobile_hdd")
@@ -223,8 +260,96 @@ class TestRunFleetBatch:
         for fast, (trace, seed) in zip(batched, zip(traces, [1, 2])):
             ref = run_fleet(device, _StatefulScalarOnly(), trace,
                             make_router("jsq"), 2, service_time=0.4,
-                            route_seed=seed, engine="auto")
+                            route_seed=seed, engine="scalar")
             assert_fleet_reports_match(ref, fast)
+
+    @pytest.mark.parametrize(
+        "faults", (None, FaultProcess(mtbf=50.0, mttr=8.0)),
+        ids=("plain", "faults"),
+    )
+    def test_declined_kernel_routes_each_trace_once(self, faults, rng,
+                                                    monkeypatch):
+        """When the lock-step kernel declines, the per-trace fallback
+        reuses the sub-traces already routed instead of dispatching
+        every trace a second time."""
+        from test_runtime_eventsim_batch import _StatefulScalarOnly
+
+        method = "dispatch" if faults is None else "dispatch_with_overload"
+        calls = []
+        original = getattr(Dispatcher, method)
+
+        def counting(self, trace, *args, **kwargs):
+            calls.append(trace)
+            return original(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(Dispatcher, method, counting)
+        device = get_preset("mobile_hdd")
+        traces = [renewal_trace(Exponential(0.5), 200.0, rng)
+                  for _ in range(3)]
+        reports = run_fleet_batch(
+            device, _StatefulScalarOnly(), traces, make_router("jsq"), 2,
+            service_time=0.4, route_seeds=[1, 2, 3], faults=faults,
+        )
+        assert len(reports) == 3
+        assert [id(t) for t in calls] == [id(t) for t in traces]
+
+    @pytest.mark.parametrize("device_name", PRESETS)
+    @pytest.mark.parametrize(
+        "policy_factory,oracle", [(f, o) for _, f, o in POLICIES],
+        ids=[name for name, _, _ in POLICIES],
+    )
+    def test_stateless_sub_traces_match_scalar_loop(
+        self, device_name, policy_factory, oracle, rng
+    ):
+        """Gap-mode policies decline the lock-step kernel, so each
+        sub-trace of a multi-seed cell runs on the per-trace kernel:
+        every device report must match the scalar event loop on that
+        device's sub-trace."""
+        device = get_preset(device_name)
+        traces = [renewal_trace(Exponential(0.6), 300.0, rng)
+                  for _ in range(3)]
+        seeds = [4, 5, 6]
+        reports = run_fleet_batch(
+            device, policy_factory(), traces, make_router("jsq"), 3,
+            service_time=0.4, oracle=oracle, route_seeds=seeds,
+        )
+        for report, trace, seed in zip(reports, traces, seeds):
+            subs = Dispatcher(
+                make_router("jsq"), 3, device, service_time=0.4, seed=seed,
+            ).dispatch(trace, vectorized=False)
+            assert len(report.device_reports) == len(subs) == 3
+            for sub, fast in zip(subs, report.device_reports):
+                ref = DPMSimulator(device, policy_factory(),
+                                   service_time=0.4, oracle=oracle).run(sub)
+                assert_reports_match(ref, fast)
+
+    DEGENERATES = (
+        Trace([], duration=50.0),            # every sub-trace empty
+        Trace([100.0], duration=2_000.0),    # one busy device, rest idle
+        Trace([0.0, 0.0, 8.0], duration=30.0),  # t=0 arrivals, zero gaps
+    )
+
+    @pytest.mark.parametrize("device_name", PRESETS)
+    @pytest.mark.parametrize("trace", DEGENERATES,
+                             ids=("empty", "single", "t0"))
+    def test_degenerate_traces_match_scalar(self, device_name, trace):
+        """Degenerate traces leave most sub-traces empty or trivial; the
+        batch entry must still agree with the scalar dispatcher for the
+        stateless policies and a lock-step one."""
+        device = get_preset(device_name)
+        factories = [(f, o) for _, f, o in POLICIES] + [
+            (lambda: AdaptiveTimeout(initial_timeout=1.0), False),
+        ]
+        for factory, oracle in factories:
+            batched = run_fleet_batch(
+                device, factory(), [trace, trace], make_router("jsq"), 3,
+                service_time=0.4, oracle=oracle, route_seeds=[1, 2],
+            )
+            for seed, fast in zip((1, 2), batched):
+                ref = run_fleet(device, factory(), trace, make_router("jsq"),
+                                3, service_time=0.4, oracle=oracle,
+                                route_seed=seed, engine="scalar")
+                assert_fleet_reports_match(ref, fast)
 
     def test_validation_and_empty(self, rng):
         device = get_preset("mobile_hdd")

@@ -16,21 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    AdaptiveTimeout,
-    AlwaysOn,
-    FixedTimeout,
-    GreedySleep,
-    OracleShutdown,
-    PredictiveShutdown,
-)
+from repro.baselines import AdaptiveTimeout, FixedTimeout, PredictiveShutdown
 from repro.device import get_preset
 from repro.sim import NEVER, DPMSimulator, EventPolicy, IdleContext, IdleDecision
 from repro.runtime import (
     policy_batch_mode,
     run_step_batched,
     run_vectorized,
-    simulate_trace,
     simulate_traces_batch,
 )
 from repro.workload import Exponential, Pareto, Trace, renewal_trace
@@ -225,96 +217,6 @@ class TestChunkingInvariance:
             assert_reports_match(ref, fast)
 
 
-STATELESS = [
-    ("always_on", lambda: AlwaysOn(), False),
-    ("greedy", lambda: GreedySleep(), False),
-    ("timeout", lambda: FixedTimeout(2.0), False),
-    ("oracle", lambda: OracleShutdown(), True),
-]
-
-
-class TestStatelessBridge:
-    """``allow_stateless=True`` lets gap-mode policies ride the lock-step
-    rounds (the fleet layer's whole-cell flattening depends on it): a
-    pure per-gap ``decide_batch`` answers one-gap-per-replica rounds just
-    as well as all-gaps-per-trace columns, so per replica the bridge must
-    be indistinguishable from the per-trace busy-period kernel."""
-
-    @pytest.mark.parametrize("device_name", PRESETS)
-    @pytest.mark.parametrize(
-        "policy_factory,oracle", [(f, o) for _, f, o in STATELESS],
-        ids=[name for name, _, _ in STATELESS],
-    )
-    def test_bridge_matches_per_trace_kernel(
-        self, device_name, policy_factory, oracle, rng
-    ):
-        traces = replication_traces(rng)
-        batch = run_step_batched(
-            get_preset(device_name), policy_factory(), traces,
-            service_time=0.4, oracle=oracle, allow_stateless=True,
-        )
-        assert batch is not None, "stateless bridge unexpectedly declined"
-        refs = [
-            simulate_trace(
-                get_preset(device_name), policy_factory(), trace,
-                service_time=0.4, oracle=oracle,
-            )
-            for trace in traces
-        ]
-        for ref, fast in zip(refs, batch):
-            assert_reports_match(ref, fast)
-
-    @pytest.mark.parametrize("device_name", PRESETS)
-    def test_degenerate_traces_via_bridge(self, device_name):
-        traces = list(TestDegenerateInputs.DEGENERATES)
-        for _, factory, oracle in STATELESS:
-            batch = run_step_batched(
-                get_preset(device_name), factory(), traces,
-                service_time=0.4, oracle=oracle, allow_stateless=True,
-            )
-            assert batch is not None
-            refs = [
-                simulate_trace(
-                    get_preset(device_name), factory(), trace,
-                    service_time=0.4, oracle=oracle,
-                )
-                for trace in traces
-            ]
-            for ref, fast in zip(refs, batch):
-                assert_reports_match(ref, fast)
-
-    def test_bridge_is_opt_in(self, rng):
-        """Without the flag, stateless policies keep declining — the
-        per-trace all-gaps kernel stays their default engine."""
-        traces = replication_traces(rng, n=2, duration=400.0)
-        assert run_step_batched(
-            get_preset("mobile_hdd"), FixedTimeout(2.0), traces,
-            service_time=0.4,
-        ) is None
-
-    def test_stateful_policies_unaffected_by_flag(self, rng):
-        """The flag only widens admission; step-mode policies take the
-        exact same path with or without it."""
-        traces = replication_traces(rng, n=3, duration=600.0)
-        with_flag = run_step_batched(
-            get_preset("mobile_hdd"), AdaptiveTimeout(initial_timeout=2.0),
-            traces, service_time=0.4, allow_stateless=True,
-        )
-        without = run_step_batched(
-            get_preset("mobile_hdd"), AdaptiveTimeout(initial_timeout=2.0),
-            traces, service_time=0.4,
-        )
-        assert with_flag == without
-
-    def test_scalar_only_policy_still_declines(self, rng):
-        """A policy with neither batch hook has nothing to bridge."""
-        traces = replication_traces(rng, n=2, duration=400.0)
-        assert run_step_batched(
-            get_preset("mobile_hdd"), _StatefulScalarOnly(), traces,
-            service_time=0.4, allow_stateless=True,
-        ) is None
-
-
 class _StatefulScalarOnly(EventPolicy):
     """Stateful policy with neither batch hook (scalar loop only)."""
 
@@ -350,6 +252,22 @@ class TestDispatchAndFallback:
             assert run_vectorized(
                 get_preset("mobile_hdd"), factory(), trace, service_time=0.4
             ) is None
+
+    def test_gap_mode_policy_declines_lock_step(self, rng):
+        """Stateless policies never enter the lock-step rounds — the
+        per-trace all-gaps kernel is their only batched engine."""
+        traces = replication_traces(rng, n=2, duration=400.0)
+        assert run_step_batched(
+            get_preset("mobile_hdd"), FixedTimeout(2.0), traces,
+            service_time=0.4,
+        ) is None
+
+    def test_scalar_only_policy_declines_lock_step(self, rng):
+        traces = replication_traces(rng, n=2, duration=400.0)
+        assert run_step_batched(
+            get_preset("mobile_hdd"), _StatefulScalarOnly(), traces,
+            service_time=0.4,
+        ) is None
 
     def test_no_hook_policy_falls_back_scalar(self, rng):
         """simulate_traces_batch on a hook-less policy IS the scalar
